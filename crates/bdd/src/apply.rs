@@ -12,7 +12,7 @@
 //! churn per recursion.
 
 use crate::manager::{BddId, BddManager, TERMINAL_LEVEL};
-use socy_dd::{is_complemented, negate, negate_if, strip, DdCtx, ONE, ZERO};
+use socy_dd::{is_complemented, negate, negate_if, strip, DdKernel, ONE, ZERO};
 
 /// Operation tags used as keys in the kernel's operation cache.
 pub(crate) const OP_AND: u8 = 0;
@@ -221,14 +221,9 @@ impl BddManager {
         self.apply_root(op, f.0, g.0, 0)
     }
 
-    /// Runs the apply machine on the sequential kernel, reusing the
-    /// manager's scratch arena.
+    /// Runs the apply machine on the kernel, reusing the manager's
+    /// scratch arena.
     fn apply_root(&mut self, op: u8, a: u32, b: u32, c: u32) -> BddId {
-        if self.compile_threads > 1 {
-            if let Some(r) = crate::par::try_par_apply(self, op, a, b, c) {
-                return BddId(r);
-            }
-        }
         let mut scratch = std::mem::take(&mut self.scratch);
         let result = run_apply(&mut self.dd, &mut scratch, op, a, b, c);
         self.scratch = scratch;
@@ -236,41 +231,31 @@ impl BddManager {
     }
 }
 
-/// The explicit-stack apply machine serving NOT, AND, OR, XOR and ITE,
-/// generic over the kernel view: the sequential [`socy_dd::DdKernel`] or
-/// a parallel section's [`socy_dd::ParRef`] (where it acts as the leaf
-/// executor of the work-stealing pool).
+/// The explicit-stack apply machine serving NOT, AND, OR, XOR and ITE.
 ///
 /// The work stack holds [`Frame`]s; every `Eval` either resolves
 /// immediately (terminal rule or cache hit) by pushing onto the result
 /// stack, or expands into its two cofactor `Eval`s below a `Combine`
 /// that later builds and memoizes the node. Both stacks live in a
 /// caller-owned scratch arena and are reused across calls.
-pub(crate) fn run_apply<C: DdCtx>(
-    ctx: &mut C,
-    scratch: &mut ApplyScratch,
-    op: u8,
-    a: u32,
-    b: u32,
-    c: u32,
-) -> u32 {
+fn run_apply(dd: &mut DdKernel, scratch: &mut ApplyScratch, op: u8, a: u32, b: u32, c: u32) -> u32 {
     debug_assert!(scratch.frames.is_empty() && scratch.results.is_empty());
     scratch.frames.push(Frame::Eval { op, a, b, c });
     while let Some(frame) = scratch.frames.pop() {
         match frame {
-            Frame::Eval { op, a, b, c } => eval_step(ctx, op, a, b, c, scratch),
-            Frame::Expand { op, a, b } => expand_binary(ctx, op, a, b, scratch),
+            Frame::Eval { op, a, b, c } => eval_step(dd, op, a, b, c, scratch),
+            Frame::Expand { op, a, b } => expand_binary(dd, op, a, b, scratch),
             Frame::Combine { op, a, b, c, top } => {
                 let high = scratch.results.pop().expect("high cofactor result");
                 let low = scratch.results.pop().expect("low cofactor result");
-                let r = ctx.mk(top, &[low, high]);
-                ctx.cache_insert((op, a, b, c), r);
+                let r = dd.mk(top, &[low, high]);
+                dd.cache_insert((op, a, b, c), r);
                 scratch.results.push(r);
             }
             Frame::CombineHigh { op, a, b, top, high } => {
                 let low = scratch.results.pop().expect("low cofactor result");
-                let r = ctx.mk(top, &[low, high]);
-                ctx.cache_insert((op, a, b, 0), r);
+                let r = dd.mk(top, &[low, high]);
+                dd.cache_insert((op, a, b, 0), r);
                 scratch.results.push(r);
             }
             Frame::Negate => {
@@ -290,11 +275,11 @@ pub(crate) fn run_apply<C: DdCtx>(
 /// negation normalizations before keying the cache: `x ⊕ ¬y = ¬(x ⊕ y)`
 /// (keys carry the plain pair plus an output complement),
 /// `ite(¬f, g, h) = ite(f, h, g)` and `ite(f, ¬g, ¬h) = ¬ite(f, g, h)`.
-/// Every normalization is gated on [`DdCtx::complement`], so
+/// Every normalization is gated on [`DdKernel::complement_enabled`], so
 /// complement-off runs take byte-identical paths to the pre-complement
 /// machine.
-fn eval_step<C: DdCtx>(
-    ctx: &mut C,
+fn eval_step(
+    dd: &mut DdKernel,
     op: u8,
     mut a: u32,
     mut b: u32,
@@ -302,7 +287,7 @@ fn eval_step<C: DdCtx>(
     scratch: &mut ApplyScratch,
 ) {
     if op == OP_NOT {
-        if ctx.complement() {
+        if dd.complement_enabled() {
             // O(1); only reachable through legacy callers — the public
             // entry points negate edges directly in complement mode.
             scratch.results.push(negate(a));
@@ -316,12 +301,12 @@ fn eval_step<C: DdCtx>(
             scratch.results.push(ZERO);
             return;
         }
-        if let Some(r) = ctx.cache_get((OP_NOT, a, a, 0)) {
+        if let Some(r) = dd.cache_get((OP_NOT, a, a, 0)) {
             scratch.results.push(r);
             return;
         }
-        let top = ctx.raw_level(a);
-        let (lo, hi) = (ctx.child(a, 0), ctx.child(a, 1));
+        let top = dd.raw_level(a);
+        let (lo, hi) = (dd.child(a, 0), dd.child(a, 1));
         // NOT keys carry the operand twice, matching its cache key.
         scratch.frames.push(Frame::Combine { op, a, b: a, c: 0, top });
         scratch.frames.push(Frame::Eval { op, a: hi, b: hi, c: 0 });
@@ -337,7 +322,7 @@ fn eval_step<C: DdCtx>(
             scratch.results.push(c);
             return;
         }
-        let cpl = ctx.complement();
+        let cpl = dd.complement_enabled();
         if cpl && is_complemented(a) {
             // ite(¬f, g, h) = ite(f, h, g): keep the predicate regular.
             a = negate(a);
@@ -363,18 +348,18 @@ fn eval_step<C: DdCtx>(
             c = negate(c);
             neg = true;
         }
-        if let Some(r) = ctx.cache_get((OP_ITE, a, b, c)) {
+        if let Some(r) = dd.cache_get((OP_ITE, a, b, c)) {
             if neg {
-                ctx.note_complement_hit();
+                dd.note_complement_hit();
             }
             scratch.results.push(negate_if(neg, r));
             return;
         }
-        let top = ctx.raw_level(a).min(ctx.raw_level(b)).min(ctx.raw_level(c));
+        let top = dd.raw_level(a).min(dd.raw_level(b)).min(dd.raw_level(c));
         debug_assert_ne!(top, TERMINAL_LEVEL);
-        let (f0, f1) = cofactors_at(ctx, a, top);
-        let (g0, g1) = cofactors_at(ctx, b, top);
-        let (h0, h1) = cofactors_at(ctx, c, top);
+        let (f0, f1) = cofactors_at(dd, a, top);
+        let (g0, g1) = cofactors_at(dd, b, top);
+        let (h0, h1) = cofactors_at(dd, c, top);
         if neg {
             scratch.frames.push(Frame::Negate);
         }
@@ -402,7 +387,7 @@ fn eval_step<C: DdCtx>(
                 scratch.results.push(a);
                 return;
             }
-            if ctx.complement() && a == negate(b) {
+            if dd.complement_enabled() && a == negate(b) {
                 // f ∧ ¬f = 0.
                 scratch.results.push(ZERO);
                 return;
@@ -425,7 +410,7 @@ fn eval_step<C: DdCtx>(
                 scratch.results.push(a);
                 return;
             }
-            if ctx.complement() && a == negate(b) {
+            if dd.complement_enabled() && a == negate(b) {
                 // f ∨ ¬f = 1.
                 scratch.results.push(ONE);
                 return;
@@ -444,7 +429,7 @@ fn eval_step<C: DdCtx>(
                 scratch.results.push(ZERO);
                 return;
             }
-            if ctx.complement() {
+            if dd.complement_enabled() {
                 if a == negate(b) {
                     scratch.results.push(ONE);
                     return;
@@ -463,9 +448,9 @@ fn eval_step<C: DdCtx>(
                     let neg = is_complemented(a) ^ is_complemented(b);
                     let (sa, sb) = (strip(a), strip(b));
                     let (x, y) = if sa <= sb { (sa, sb) } else { (sb, sa) };
-                    if let Some(r) = ctx.cache_get((op, x, y, 0)) {
+                    if let Some(r) = dd.cache_get((op, x, y, 0)) {
                         if neg {
-                            ctx.note_complement_hit();
+                            dd.note_complement_hit();
                         }
                         scratch.results.push(negate_if(neg, r));
                         return;
@@ -493,31 +478,31 @@ fn eval_step<C: DdCtx>(
     // Commutative operations: normalise the operand order for better
     // cache hit rates.
     let (x, y) = if a <= b { (a, b) } else { (b, a) };
-    if let Some(r) = ctx.cache_get((op, x, y, 0)) {
+    if let Some(r) = dd.cache_get((op, x, y, 0)) {
         scratch.results.push(r);
         return;
     }
-    expand_binary(ctx, op, x, y, scratch);
+    expand_binary(dd, op, x, y, scratch);
 }
 
 /// Shannon expansion of a binary subproblem whose terminal rules and
 /// cache probe already ran. Children that resolve immediately — by a
 /// terminal rule or a cache hit — never become frames, so the common
 /// mixed case costs one frame round-trip instead of three.
-fn expand_binary<C: DdCtx>(ctx: &mut C, op: u8, x: u32, y: u32, scratch: &mut ApplyScratch) {
+fn expand_binary(dd: &mut DdKernel, op: u8, x: u32, y: u32, scratch: &mut ApplyScratch) {
     // The connectives are commutative and keyed on the normalised
     // pair; child subproblems arrive here unnormalised via
     // `Frame::Expand`, so normalise again before keying the result.
     let (x, y) = if x <= y { (x, y) } else { (y, x) };
-    let top = ctx.raw_level(x).min(ctx.raw_level(y));
-    let (f0, f1) = cofactors_at(ctx, x, top);
-    let (g0, g1) = cofactors_at(ctx, y, top);
-    let low = immediate_binary(ctx, op, f0, g0);
-    let high = immediate_binary(ctx, op, f1, g1);
+    let top = dd.raw_level(x).min(dd.raw_level(y));
+    let (f0, f1) = cofactors_at(dd, x, top);
+    let (g0, g1) = cofactors_at(dd, y, top);
+    let low = immediate_binary(dd, op, f0, g0);
+    let high = immediate_binary(dd, op, f1, g1);
     match (low, high) {
         (Immediate::Resolved(lo), Immediate::Resolved(hi)) => {
-            let r = ctx.mk(top, &[lo, hi]);
-            ctx.cache_insert((op, x, y, 0), r);
+            let r = dd.mk(top, &[lo, hi]);
+            dd.cache_insert((op, x, y, 0), r);
             scratch.results.push(r);
         }
         (Immediate::Resolved(lo), high) => {
@@ -553,7 +538,7 @@ fn expand_binary<C: DdCtx>(ctx: &mut C, op: u8, x: u32, y: u32, scratch: &mut Ap
 /// trivial rules, then (operands normalised) one cache probe. The
 /// `Expand` outcome means the probe missed — the caller must push an
 /// [`Frame::Expand`], not an `Eval`, so the probe is not repeated.
-fn immediate_binary<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32) -> Immediate {
+fn immediate_binary(dd: &mut DdKernel, op: u8, a: u32, b: u32) -> Immediate {
     match op {
         OP_AND => {
             if a == ZERO || b == ZERO {
@@ -565,7 +550,7 @@ fn immediate_binary<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32) -> Immediate 
             if b == ONE || a == b {
                 return Immediate::Resolved(a);
             }
-            if ctx.complement() && a == negate(b) {
+            if dd.complement_enabled() && a == negate(b) {
                 return Immediate::Resolved(ZERO);
             }
         }
@@ -579,7 +564,7 @@ fn immediate_binary<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32) -> Immediate 
             if b == ZERO || a == b {
                 return Immediate::Resolved(a);
             }
-            if ctx.complement() && a == negate(b) {
+            if dd.complement_enabled() && a == negate(b) {
                 return Immediate::Resolved(ONE);
             }
         }
@@ -593,7 +578,7 @@ fn immediate_binary<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32) -> Immediate 
             if a == b {
                 return Immediate::Resolved(ZERO);
             }
-            if ctx.complement() {
+            if dd.complement_enabled() {
                 if a == negate(b) {
                     return Immediate::Resolved(ONE);
                 }
@@ -610,10 +595,10 @@ fn immediate_binary<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32) -> Immediate 
                     let neg = is_complemented(a) ^ is_complemented(b);
                     let (sa, sb) = (strip(a), strip(b));
                     let (x, y) = if sa <= sb { (sa, sb) } else { (sb, sa) };
-                    return match ctx.cache_get((op, x, y, 0)) {
+                    return match dd.cache_get((op, x, y, 0)) {
                         Some(r) => {
                             if neg {
-                                ctx.note_complement_hit();
+                                dd.note_complement_hit();
                             }
                             Immediate::Resolved(negate_if(neg, r))
                         }
@@ -628,7 +613,7 @@ fn immediate_binary<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32) -> Immediate 
         _ => unreachable!("unknown binary op"),
     }
     let (x, y) = if a <= b { (a, b) } else { (b, a) };
-    match ctx.cache_get((op, x, y, 0)) {
+    match dd.cache_get((op, x, y, 0)) {
         Some(r) => Immediate::Resolved(r),
         None => Immediate::Expand,
     }
@@ -636,11 +621,11 @@ fn immediate_binary<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32) -> Immediate 
 
 /// The cofactors of `f` with respect to the variable at raw level `top`
 /// (which must be ≤ the level of `f`'s top variable).
-pub(crate) fn cofactors_at<C: DdCtx>(ctx: &C, f: u32, top: u32) -> (u32, u32) {
-    if f <= ONE || ctx.raw_level(f) != top {
+fn cofactors_at(dd: &DdKernel, f: u32, top: u32) -> (u32, u32) {
+    if f <= ONE || dd.raw_level(f) != top {
         (f, f)
     } else {
-        (ctx.child(f, 0), ctx.child(f, 1))
+        (dd.child(f, 0), dd.child(f, 1))
     }
 }
 

@@ -46,7 +46,6 @@ pub mod apply;
 pub mod build;
 pub mod dot;
 pub mod manager;
-pub mod par;
 
 pub use socy_dd::hash;
 pub use socy_dd::DdStats;

@@ -67,17 +67,7 @@ pub struct BddManager {
     /// Reusable stacks of the iterative apply machine (see
     /// [`crate::apply`]).
     pub(crate) scratch: crate::apply::ApplyScratch,
-    /// Worker threads for intra-operation parallel sections (1 = always
-    /// sequential; see [`crate::par`]).
-    pub(crate) compile_threads: usize,
-    /// Minimum operand size (capped node count) below which an operation
-    /// stays sequential even when `compile_threads > 1`.
-    pub(crate) par_grain: usize,
 }
-
-/// Default sequential-grain cutoff: operands smaller than this never
-/// open a parallel section (splitting overhead would dominate).
-pub const DEFAULT_PAR_GRAIN: usize = 4096;
 
 impl BddManager {
     /// Creates a manager over `num_levels` boolean variable levels.
@@ -89,7 +79,7 @@ impl BddManager {
     pub fn new(num_levels: usize) -> Self {
         let mut dd = DdKernel::new(vec![2; num_levels]);
         dd.set_complement(true);
-        Self { dd, scratch: Default::default(), compile_threads: 1, par_grain: DEFAULT_PAR_GRAIN }
+        Self { dd, scratch: Default::default() }
     }
 
     /// Creates a manager whose operation cache starts with `capacity`
@@ -101,7 +91,7 @@ impl BddManager {
     pub fn with_cache_capacity(num_levels: usize, capacity: usize, max_capacity: usize) -> Self {
         let mut dd = DdKernel::with_cache_capacity(vec![2; num_levels], capacity, max_capacity);
         dd.set_complement(true);
-        Self { dd, scratch: Default::default(), compile_threads: 1, par_grain: DEFAULT_PAR_GRAIN }
+        Self { dd, scratch: Default::default() }
     }
 
     /// Enables or disables complemented-edge mode. Must be called before
@@ -137,28 +127,6 @@ impl BddManager {
                 children.iter().all(|&c| !socy_dd::is_complemented(c))
             }
         })
-    }
-
-    /// Sets the number of worker threads used *inside* a single
-    /// apply/ITE call. `1` (the default) keeps every operation on the
-    /// calling thread; higher counts split large operations across a
-    /// work-stealing pool with canonical, thread-count-invariant results
-    /// (node counts and probabilities are bit-identical at every
-    /// setting).
-    pub fn set_compile_threads(&mut self, threads: usize) {
-        self.compile_threads = threads.max(1);
-    }
-
-    /// Worker threads used inside a single operation.
-    pub fn compile_threads(&self) -> usize {
-        self.compile_threads
-    }
-
-    /// Sets the sequential-grain cutoff: operations whose operands hold
-    /// fewer than `grain` nodes stay sequential even with
-    /// [`BddManager::set_compile_threads`] above 1.
-    pub fn set_par_grain(&mut self, grain: usize) {
-        self.par_grain = grain.max(1);
     }
 
     /// The FALSE terminal.
@@ -272,13 +240,6 @@ impl BddManager {
         self.dd.allocated_nodes()
     }
 
-    /// Number of nodes reachable from `root`, but never counting past
-    /// `cap` — a cheap "is this operand at least this big?" probe (used
-    /// by the coded-ROBDD → ROMDD converter's parallel-grain gate).
-    pub fn node_count_capped(&self, root: BddId, cap: usize) -> usize {
-        self.dd.node_count_capped(&[root.0], cap)
-    }
-
     /// Kernel statistics: peak/live nodes, unique-table entries,
     /// operation-cache hit/miss counts and collection totals.
     pub fn stats(&self) -> DdStats {
@@ -286,8 +247,7 @@ impl BddManager {
     }
 
     /// Arms (or, with `None`, disarms) the kernel's resource governor:
-    /// every subsequent node materialisation — sequential or through a
-    /// parallel section — reports to it. See
+    /// every subsequent node materialisation reports to it. See
     /// [`DdKernel::set_governor`](socy_dd::DdKernel::set_governor).
     pub fn set_governor(&mut self, governor: Option<socy_dd::Governor>) {
         self.dd.set_governor(governor);

@@ -1,68 +1,39 @@
 //! CI gate for the paper anchors and the perf-smoke sweep: compares a
 //! freshly produced JSON dump against its pinned fixture under
 //! `tests/fixtures/`, ignoring only the volatile wall-clock/environment
-//! fields (`seconds`, `*_seconds`, `threads`, `compile_threads`, the
-//! `par_*` and `*complement_hits` counters). Any drift in node counts,
-//! peaks, truncations, cache statistics or yields fails the build with
-//! a per-field report; missing or malformed files fail with a readable
-//! message instead of a panic.
+//! fields (`seconds`, `*_seconds`, `threads` and the `*complement_hits`
+//! tallies). Any drift in node counts, peaks, truncations, cache
+//! statistics or yields — or a field present on only one side — fails
+//! the build with a per-field report; missing or malformed files fail
+//! with a readable message instead of a panic.
 //!
-//! With `--volatile-cache-counters` the `*_cache_*` tallies are exempt
-//! too: the concurrent op cache used at `--compile-threads > 1` is
-//! lossy, so its hit/miss/eviction counts are scheduling-dependent even
-//! though every result (yields, node counts, truncations) stays
-//! bit-identical — this is the mode CI uses to gate a parallel-compile
-//! run against the sequential fixture.
+//! A flag selects a laxer [`DiffPolicy`] (see [`DIFF_POLICY_FLAGS`]):
 //!
-//! With `--complement-invariant` only the complement-*invariant* fields
-//! are gated: the ROBDD-side node counts (`robdd_size`, `robdd_peak`,
-//! `robdd_unique_entries`, …) and all cache counters are exempt, while
-//! yields, error bounds, truncations and ROMDD node counts must still
-//! match bit-for-bit. This is the mode CI uses to gate a
-//! `--no-complement-edges` regeneration against the complement-enabled
-//! fixture, proving the complemented-edge toggle is a pure
-//! representation knob.
+//! * `--complement-invariant` additionally exempts the ROBDD-side node
+//!   counts and all cache counters, while yields, error bounds,
+//!   truncations and ROMDD node counts must still match bit-for-bit.
+//!   CI gates a `--no-complement-edges` regeneration against the
+//!   complement-enabled fixture this way, proving the complemented-edge
+//!   toggle a pure representation knob.
+//! * `--delta-equivalence` additionally exempts the execution-shape
+//!   total `chunks`: an incremental `sweep_deltas` run compiles a delta
+//!   family as **one** chunk while the `--scratch-deltas` materialized
+//!   run compiles one chunk per variant, yet every reported yield,
+//!   truncation and ROMDD node count must be bit-identical.
 //!
-//! With `--delta-equivalence` the same result fields as
-//! `--complement-invariant` are gated, plus the execution-shape totals
-//! (`chunks`) are exempt: an incremental `sweep_deltas` run compiles a
-//! delta family as **one** chunk while the `--scratch-deltas`
-//! materialized run compiles one chunk per variant, yet every reported
-//! yield, truncation and ROMDD node count must be bit-identical. This is
-//! the mode CI uses to prove the incremental what-if path equivalent to
-//! from-scratch compilation.
-//!
-//! Usage: `anchor_check [--volatile-cache-counters | --complement-invariant |
-//! --delta-equivalence] <fixture.json> <actual.json> [...more pairs]`
+//! Usage: `anchor_check [--complement-invariant | --delta-equivalence]
+//! <fixture.json> <actual.json> [...more pairs]`
 
-use soc_yield_bench::{
-    diff_anchor_values_complement_invariant, diff_anchor_values_delta_equivalence,
-    diff_anchor_values_lax,
-};
-
-/// Which field-exemption policy the comparison runs under.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Strict,
-    VolatileCacheCounters,
-    ComplementInvariant,
-    DeltaEquivalence,
-}
+use soc_yield_bench::{diff_anchor_values, DiffPolicy, DIFF_POLICY_FLAGS};
 
 fn read(path: &str, role: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {role} {path}: {e}"))
 }
 
-fn check_pair(fixture_path: &str, actual_path: &str, mode: Mode) -> Result<(), String> {
+fn check_pair(fixture_path: &str, actual_path: &str, policy: DiffPolicy) -> Result<(), String> {
     let fixture = read(fixture_path, "fixture")?;
     let actual = read(actual_path, "file")?;
-    let diffs = match mode {
-        Mode::Strict => diff_anchor_values_lax(&fixture, &actual, false),
-        Mode::VolatileCacheCounters => diff_anchor_values_lax(&fixture, &actual, true),
-        Mode::ComplementInvariant => diff_anchor_values_complement_invariant(&fixture, &actual),
-        Mode::DeltaEquivalence => diff_anchor_values_delta_equivalence(&fixture, &actual),
-    };
-    match diffs {
+    match diff_anchor_values(&fixture, &actual, policy) {
         Err(message) => Err(message),
         Ok(diffs) if diffs.is_empty() => Ok(()),
         Ok(diffs) => Err(format!("{} divergent field(s):\n  {}", diffs.len(), diffs.join("\n  "))),
@@ -71,30 +42,28 @@ fn check_pair(fixture_path: &str, actual_path: &str, mode: Mode) -> Result<(), S
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut mode = Mode::Strict;
+    let mut policy = DiffPolicy::Strict;
     let mut conflicting = false;
     args.retain(|arg| {
-        let selected = match arg.as_str() {
-            "--volatile-cache-counters" => Mode::VolatileCacheCounters,
-            "--complement-invariant" => Mode::ComplementInvariant,
-            "--delta-equivalence" => Mode::DeltaEquivalence,
-            _ => return true,
+        let Some(&(_, selected)) = DIFF_POLICY_FLAGS.iter().find(|(flag, _)| flag == arg) else {
+            return true;
         };
-        conflicting |= mode != Mode::Strict && mode != selected;
-        mode = selected;
+        conflicting |= policy != DiffPolicy::Strict && policy != selected;
+        policy = selected;
         false
     });
     if conflicting || args.is_empty() || !args.len().is_multiple_of(2) {
+        let flags: Vec<&str> = DIFF_POLICY_FLAGS.iter().map(|(flag, _)| *flag).collect();
         eprintln!(
-            "usage: anchor_check [--volatile-cache-counters | --complement-invariant | \
-             --delta-equivalence] <fixture.json> <actual.json> [...more pairs]"
+            "usage: anchor_check [{}] <fixture.json> <actual.json> [...more pairs]",
+            flags.join(" | ")
         );
         std::process::exit(2);
     }
     let mut failed = false;
     for pair in args.chunks(2) {
         let (fixture_path, actual_path) = (&pair[0], &pair[1]);
-        match check_pair(fixture_path, actual_path, mode) {
+        match check_pair(fixture_path, actual_path, policy) {
             Ok(()) => println!("OK   {actual_path} matches {fixture_path}"),
             Err(report) => {
                 eprintln!("FAIL {actual_path} vs {fixture_path}\n{report}");

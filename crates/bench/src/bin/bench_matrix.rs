@@ -6,12 +6,6 @@
 //!
 //! * `--threads N` — worker pool size (`0` = all cores). All
 //!   deterministic fields are bit-identical for every value.
-//! * `--compile-threads N` — worker threads *inside* each chunk's
-//!   compilation (sharded unique table + work-stealing apply; default 1).
-//!   Orthogonal to `--threads`, and likewise bit-identical for every
-//!   value — only the lossy op cache's tallies and the `par_*` counters
-//!   are scheduling-dependent, which is why CI gates parallel-compile
-//!   runs with `anchor_check --volatile-cache-counters`.
 //! * `--json <path>` — write the artifact (CI's `perf-smoke` job passes
 //!   `BENCH_sweep.json` and gates the deterministic fields against
 //!   `tests/fixtures/bench_sweep.json` with `anchor_check`).
@@ -34,9 +28,8 @@
 //!    costly managed-kernel path; one small instance keeps it honest and
 //!    exercises GC accounting without dominating the wall clock);
 //! 4. **high-M single chunk** — ESEN4x2 dense (λ'=2, ε=1e-3): one big
-//!    compilation that the sweep-level pool cannot parallelise. This is
-//!    the point where `--compile-threads` matters — the intra-compile
-//!    parallel apply is the only speedup available to it.
+//!    compilation that the sweep-level pool cannot parallelise; it is
+//!    the critical path of the whole matrix.
 //! 5. **what-if deltas** — ESEN4x1 plus a family of nine one-component
 //!    what-if variants (the unchanged base, four half-probability and
 //!    four immune components), evaluated through the incremental
@@ -165,11 +158,7 @@ fn main() {
     let CliArgs { json, threads, options, baseline, scratch_deltas, .. } = parse_cli(usize::MAX);
     let mut matrix = pinned_matrix(scratch_deltas);
     matrix.options = options;
-    println!(
-        "bench_matrix: pinned perf sweep ({} design points, compile-threads {})",
-        matrix.len(),
-        options.compile_threads().max(1)
-    );
+    println!("bench_matrix: pinned perf sweep ({} design points)", matrix.len());
     let outcome = matrix.run(threads);
     let doc = BenchSweepDoc::from_outcome(&outcome);
 
@@ -208,15 +197,6 @@ fn main() {
         outcome.summary.robdd.cache_evict_percent(),
         outcome.summary.robdd.gc_runs,
     );
-    if outcome.summary.compile_threads > 1 {
-        println!(
-            "parallel compile: {} sections · {} tasks · {} steals · {} shard-lock contentions",
-            doc.totals.par_sections,
-            doc.totals.par_tasks,
-            doc.totals.par_steals,
-            doc.totals.par_shard_contention,
-        );
-    }
     // Write the artifact even when points failed: CI's `if: always()`
     // upload step and local debugging both want the partial results.
     if let Some(path) = &json {

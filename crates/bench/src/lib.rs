@@ -150,19 +150,6 @@ pub struct ResultRow {
     /// Wall-clock seconds of the compile that produced the evaluated
     /// diagram (coded-ROBDD build + ROMDD conversion).
     pub compile_seconds: f64,
-    /// Intra-compilation parallel sections opened while compiling this
-    /// row's diagrams (ROBDD + ROMDD managers; `0` under sequential
-    /// compilation). `par_*` fields track the compile-thread resource
-    /// knob, so the anchors treat them as volatile.
-    pub par_sections: u64,
-    /// Tasks those parallel sections were split into.
-    pub par_tasks: u64,
-    /// Work-stealing pool steals inside those sections
-    /// (scheduling-dependent).
-    pub par_steals: u64,
-    /// Contended unique-table shard acquisitions inside those sections
-    /// (scheduling-dependent).
-    pub par_shard_contention: u64,
 }
 
 impl ResultRow {
@@ -191,11 +178,6 @@ impl ResultRow {
             robdd_complement_hits: report.robdd_stats.complement_hits,
             seconds: report.total_time.as_secs_f64(),
             compile_seconds: (report.robdd_time + report.conversion_time).as_secs_f64(),
-            par_sections: report.robdd_stats.par_sections + report.romdd_stats.par_sections,
-            par_tasks: report.robdd_stats.par_tasks + report.romdd_stats.par_tasks,
-            par_steals: report.robdd_stats.par_steals + report.romdd_stats.par_steals,
-            par_shard_contention: report.robdd_stats.par_shard_contention
-                + report.romdd_stats.par_shard_contention,
         }
     }
 }
@@ -462,13 +444,11 @@ pub struct CliArgs {
     /// cores). Any value produces bit-identical tables; it only changes
     /// the wall-clock time.
     pub threads: usize,
-    /// The shared kernel knobs and resource limits (`--compile-threads`,
-    /// `--compile-grain`, `--no-complement-edges`, `--op-cache-capacity`,
-    /// `--node-budget`, `--deadline-ms`): one
-    /// [`CompileOptions`] value parsed through
+    /// The shared kernel knobs and resource limits
+    /// (`--no-complement-edges`, `--op-cache-capacity`, `--node-budget`,
+    /// `--deadline-ms`): one [`CompileOptions`] value parsed through
     /// [`CompileOptions::parse_cli_flag`] — the same helper the `serve`
-    /// binary uses, so both CLIs expose exactly one flag surface. Every
-    /// knob is bit-identical on the result side.
+    /// binary uses, so both CLIs expose exactly one flag surface.
     pub options: CompileOptions,
     /// Optional baseline `BENCH_sweep.json` to compare wall-clock times
     /// against (`bench_matrix` only).
@@ -480,14 +460,38 @@ pub struct CliArgs {
     pub scratch_deltas: bool,
 }
 
+/// Usage text of the table binaries' shared flags (followed by
+/// [`CompileOptions::CLI_HELP`]).
+const CLI_USAGE: &str = "\
+Usage: {bin} [--max-components C] [--json PATH] [--threads N]
+             [--baseline PATH] [--scratch-deltas] [compile options]
+
+  --max-components C   skip instances with more than C components
+  --json PATH          also write the results as JSON to PATH
+  --threads N          sweep worker threads (0 = all cores; default 0)
+  --baseline PATH      compare wall clocks against a saved
+                       BENCH_sweep.json (bench_matrix only)
+  --scratch-deltas     compile every what-if variant from scratch
+                       (bench_matrix only)";
+
+/// The usage text of the table binary `bin`.
+fn cli_usage(bin: &str) -> String {
+    format!("{}\n{}", CLI_USAGE.replace("{bin}", bin), CompileOptions::CLI_HELP)
+}
+
 /// Parses the common CLI flags of the table binaries:
 /// `--max-components <C>`, `--json <path>`, `--threads <N>`,
 /// `--baseline <path>`, `--scratch-deltas`, plus the shared
-/// [`CompileOptions`] surface (`--compile-threads <N>`,
-/// `--compile-grain <N>`, `--no-complement-edges`,
-/// `--op-cache-capacity <N>`, `--node-budget <N>`, `--deadline-ms <MS>`
-/// — see [`CompileOptions::CLI_HELP`]).
-pub fn parse_cli(default_max: usize) -> CliArgs {
+/// [`CompileOptions`] surface (see [`CompileOptions::CLI_HELP`]).
+///
+/// # Errors
+///
+/// Returns a one-line message naming the offending argument when a flag
+/// is unknown or its value is missing or malformed.
+pub fn parse_cli_from(
+    default_max: usize,
+    args: impl IntoIterator<Item = String>,
+) -> Result<CliArgs, String> {
     let mut parsed = CliArgs {
         max_components: default_max,
         json: None,
@@ -496,66 +500,54 @@ pub fn parse_cli(default_max: usize) -> CliArgs {
         baseline: None,
         scratch_deltas: false,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        match parsed.options.parse_cli_flag(&arg, &mut args) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(message) => {
-                eprintln!("{message}");
-                continue;
-            }
+        if parsed.options.parse_cli_flag(&arg, &mut args)? {
+            continue;
         }
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} requires {what}"));
         match arg.as_str() {
             "--max-components" => {
-                if let Some(v) = args.next() {
-                    parsed.max_components = v.parse().unwrap_or(default_max);
-                }
+                parsed.max_components = value("an integer")?
+                    .parse()
+                    .map_err(|_| format!("{arg} requires an integer"))?;
             }
-            "--json" => parsed.json = args.next(),
+            "--json" => parsed.json = Some(value("a path")?),
             "--threads" => {
-                if let Some(v) = args.next() {
-                    parsed.threads = v.parse().unwrap_or(0);
-                }
+                parsed.threads = value("an integer")?
+                    .parse()
+                    .map_err(|_| format!("{arg} requires an integer"))?;
             }
-            "--baseline" => parsed.baseline = args.next(),
+            "--baseline" => parsed.baseline = Some(value("a path")?),
             "--scratch-deltas" => parsed.scratch_deltas = true,
-            other => eprintln!("ignoring unknown argument `{other}`"),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    parsed
+    Ok(parsed)
+}
+
+/// Parses the process arguments with [`parse_cli_from`]. A bad argument
+/// prints the error and the usage and exits 2, like the `serve` binary.
+pub fn parse_cli(default_max: usize) -> CliArgs {
+    let mut argv = std::env::args();
+    let path = argv.next().unwrap_or_default();
+    let bin = path.rsplit('/').next().unwrap_or(&path);
+    parse_cli_from(default_max, argv).unwrap_or_else(|message| {
+        eprintln!("{bin}: {message}\n{}", cli_usage(bin));
+        std::process::exit(2)
+    })
 }
 
 /// Whether an anchor JSON field is volatile — wall-clock measurements
 /// and execution-environment knobs that legitimately differ from run to
-/// run and machine to machine. The `par_*` counters (parallel sections,
-/// tasks, steals, shard contention) track the compile-thread resource
-/// knob rather than the analysis, so they are volatile too, as is
-/// `*complement_hits` — a cache-behaviour tally that is only nonzero
-/// with complemented edges on and, like every cache counter, is
-/// scheduling-dependent under parallel compilation. Everything else
-/// (node counts, peaks, truncations, cache statistics, yields) is
-/// gated bit-for-bit.
+/// run and machine to machine, plus `*complement_hits`, a cache tally the
+/// fixtures record but do not pin. Everything else (node counts, peaks,
+/// truncations, cache statistics, yields) is gated bit-for-bit.
 pub fn is_volatile_anchor_field(name: &str) -> bool {
     name == "seconds"
         || name == "threads"
-        || name == "compile_threads"
         || name.ends_with("_seconds")
-        || name.starts_with("par_")
         || name.ends_with("complement_hits")
-}
-
-/// Whether an anchor JSON field is an operation-cache counter
-/// (`*_cache_hits`, `*_cache_hit_percent`, …). Deterministic under
-/// sequential compilation — and therefore gated by default — but
-/// scheduling-dependent when `--compile-threads` exceeds 1, because the
-/// concurrent op cache is lossy (racing writers may drop publications,
-/// changing hit/miss/insertion tallies without affecting any result).
-/// The `--volatile-cache-counters` mode of `anchor_check` exempts them
-/// so CI can gate a parallel-compilation run against the sequential
-/// fixture.
-pub fn is_cache_counter_anchor_field(name: &str) -> bool {
-    name.contains("_cache_")
 }
 
 /// Whether an anchor JSON field legitimately *changes* when complemented
@@ -563,132 +555,65 @@ pub fn is_cache_counter_anchor_field(name: &str) -> bool {
 /// `robdd_peak`, `robdd_unique_entries`, the `robdd_peak_*` aggregates)
 /// — complemented edges share one node between each function and its
 /// negation, so the physical diagram shrinks — plus every cache counter
-/// (the two modes probe different keys). Everything the paper reports
-/// — yields, error bounds, truncations, ROMDD node counts — is
-/// complement-invariant and stays gated bit-for-bit by the
-/// `--complement-invariant` mode of `anchor_check`.
+/// (`*_cache_*`; the two modes probe different keys). Everything the
+/// paper reports — yields, error bounds, truncations, ROMDD node counts —
+/// is complement-invariant.
 pub fn is_complement_variant_anchor_field(name: &str) -> bool {
-    name.starts_with("robdd_") || is_cache_counter_anchor_field(name)
+    name.starts_with("robdd_") || name.contains("_cache_")
+}
+
+/// Field-exemption policy of one anchor comparison.
+/// [Volatile](is_volatile_anchor_field) fields are exempt under every
+/// policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiffPolicy {
+    /// Gate every other field bit-for-bit (the default).
+    Strict,
+    /// Exempt the [complement-variant](is_complement_variant_anchor_field)
+    /// fields too, while yields, error bounds, truncations and ROMDD node
+    /// counts stay gated bit-for-bit. CI gates a `--no-complement-edges`
+    /// regeneration against the complement-enabled fixture this way,
+    /// proving the toggle a pure representation knob.
+    ComplementInvariant,
+    /// [`DiffPolicy::ComplementInvariant`] plus the execution-shape field
+    /// `chunks`: a delta family runs as one chunk (on a retained base
+    /// manager, so ROBDD peaks and cache tallies differ too) while its
+    /// from-scratch materialization runs one chunk per variant. CI gates
+    /// a `bench_matrix --scratch-deltas` regeneration against the
+    /// delta-path fixture this way.
+    DeltaEquivalence,
+}
+
+/// The `anchor_check` flags and the policies they select. The argument
+/// loop and the usage text both read this table; no flag means
+/// [`DiffPolicy::Strict`].
+pub const DIFF_POLICY_FLAGS: [(&str, DiffPolicy); 2] = [
+    ("--complement-invariant", DiffPolicy::ComplementInvariant),
+    ("--delta-equivalence", DiffPolicy::DeltaEquivalence),
+];
+
+impl DiffPolicy {
+    fn exempt(self, name: &str) -> bool {
+        is_volatile_anchor_field(name)
+            || (self != DiffPolicy::Strict && is_complement_variant_anchor_field(name))
+            || (self == DiffPolicy::DeltaEquivalence && name == "chunks")
+    }
 }
 
 /// Maximum number of per-field divergences reported by
 /// [`diff_anchor_values`] before the tail is summarised.
 const MAX_REPORTED_DIVERGENCES: usize = 20;
 
-/// Structurally compares two anchor JSON documents, ignoring
-/// [volatile](is_volatile_anchor_field) fields, and returns one
-/// readable line per divergent field (`path: fixture … actual …`).
-/// Numbers must match bit-for-bit (floats are compared by their bit
-/// patterns, so even last-ulp yield drift is caught).
+/// Structurally compares two anchor JSON documents, ignoring the fields
+/// `policy` exempts, and returns one readable line per divergent field
+/// (`path: fixture … actual …`). Numbers must match bit-for-bit (floats
+/// are compared by their bit patterns, so even last-ulp yield drift is
+/// caught).
 ///
 /// # Errors
 ///
 /// Returns a readable message when either document is not valid JSON.
-pub fn diff_anchor_values(fixture: &str, actual: &str) -> Result<Vec<String>, String> {
-    diff_anchor_values_lax(fixture, actual, false)
-}
-
-/// Like [`diff_anchor_values`], but when `volatile_cache_counters` is
-/// set, additionally exempts [cache-counter](is_cache_counter_anchor_field)
-/// fields — the mode CI uses to gate a `--compile-threads 2` run against
-/// the sequential fixture (yields, node counts and truncations stay
-/// gated bit-for-bit; only the lossy concurrent cache's tallies are
-/// excused).
-///
-/// # Errors
-///
-/// Returns a readable message when either document is not valid JSON.
-pub fn diff_anchor_values_lax(
-    fixture: &str,
-    actual: &str,
-    volatile_cache_counters: bool,
-) -> Result<Vec<String>, String> {
-    diff_anchor_values_with(
-        fixture,
-        actual,
-        DiffPolicy {
-            lax_cache: volatile_cache_counters,
-            complement_invariant: false,
-            execution_shape: false,
-        },
-    )
-}
-
-/// Like [`diff_anchor_values`], but compares only
-/// complement-*invariant* fields: the
-/// [complement-variant](is_complement_variant_anchor_field) ROBDD node
-/// counts and all cache counters are exempted, while yields, error
-/// bounds, truncations and ROMDD node counts stay gated bit-for-bit.
-/// This is the `--complement-invariant` mode of `anchor_check`, which
-/// CI uses to gate a `--no-complement-edges` regeneration against the
-/// complement-enabled fixture — proving the toggle is a pure
-/// representation knob.
-///
-/// # Errors
-///
-/// Returns a readable message when either document is not valid JSON.
-pub fn diff_anchor_values_complement_invariant(
-    fixture: &str,
-    actual: &str,
-) -> Result<Vec<String>, String> {
-    diff_anchor_values_with(
-        fixture,
-        actual,
-        DiffPolicy { lax_cache: false, complement_invariant: true, execution_shape: false },
-    )
-}
-
-/// Like [`diff_anchor_values`], but compares only the fields the
-/// incremental delta path must reproduce: on top of the
-/// complement-invariant exemptions (the retained base manager
-/// accumulates nodes across delta rebuilds, so ROBDD peaks and cache
-/// tallies legitimately differ from per-variant fresh compiles), the
-/// execution-shape field `chunks` is exempt — a delta family runs as
-/// one chunk while its from-scratch materialization runs one chunk per
-/// variant. Yields, error bounds, truncations, ROMDD node counts and
-/// the point labels stay gated bit-for-bit. This is the
-/// `--delta-equivalence` mode of `anchor_check`, which CI uses to gate
-/// a `bench_matrix --scratch-deltas` regeneration against the
-/// delta-path fixture.
-///
-/// # Errors
-///
-/// Returns a readable message when either document is not valid JSON.
-pub fn diff_anchor_values_delta_equivalence(
-    fixture: &str,
-    actual: &str,
-) -> Result<Vec<String>, String> {
-    diff_anchor_values_with(
-        fixture,
-        actual,
-        DiffPolicy { lax_cache: false, complement_invariant: true, execution_shape: true },
-    )
-}
-
-/// Field-exemption policy of one anchor comparison (volatile fields are
-/// always exempt).
-#[derive(Clone, Copy)]
-struct DiffPolicy {
-    /// Additionally exempt cache counters (parallel-compilation mode).
-    lax_cache: bool,
-    /// Additionally exempt complement-variant fields (dual-mode gate).
-    complement_invariant: bool,
-    /// Additionally exempt the matrix partitioning shape (`chunks`) —
-    /// the delta-equivalence gate compares a one-chunk delta family
-    /// against its chunk-per-variant materialization.
-    execution_shape: bool,
-}
-
-impl DiffPolicy {
-    fn exempt(self, name: &str) -> bool {
-        is_volatile_anchor_field(name)
-            || (self.lax_cache && is_cache_counter_anchor_field(name))
-            || (self.complement_invariant && is_complement_variant_anchor_field(name))
-            || (self.execution_shape && name == "chunks")
-    }
-}
-
-fn diff_anchor_values_with(
+pub fn diff_anchor_values(
     fixture: &str,
     actual: &str,
     policy: DiffPolicy,
@@ -760,12 +685,11 @@ fn diff_values(
     }
 }
 
-/// Diffs two anchor JSON dumps, ignoring only
-/// [volatile](is_volatile_anchor_field) fields. Returns `None` when they
-/// agree and a human-readable per-field report otherwise (including when
-/// either document is malformed).
+/// Diffs two anchor JSON dumps under [`DiffPolicy::Strict`]. Returns
+/// `None` when they agree and a human-readable per-field report otherwise
+/// (including when either document is malformed).
 pub fn diff_anchors(fixture: &str, actual: &str) -> Option<String> {
-    match diff_anchor_values(fixture, actual) {
+    match diff_anchor_values(fixture, actual, DiffPolicy::Strict) {
         Err(message) => Some(message),
         Ok(diffs) if diffs.is_empty() => None,
         Ok(diffs) => Some(diffs.join("\n")),
@@ -826,18 +750,8 @@ pub struct BenchSweepPoint {
     pub robdd_cache_evict_percent: f64,
     /// ROBDD operation-cache hits obtained through a complemented-edge
     /// negation normalization (volatile — `0` with complemented edges
-    /// off, scheduling-dependent under parallel compilation).
+    /// off).
     pub robdd_complement_hits: u64,
-    /// Parallel compile sections entered (ROBDD + ROMDD; volatile —
-    /// tracks the `--compile-threads` resource knob).
-    pub par_sections: u64,
-    /// Tasks executed inside parallel compile sections (volatile).
-    pub par_tasks: u64,
-    /// Work-steal events inside parallel compile sections (volatile).
-    pub par_steals: u64,
-    /// Unique-table shard-lock contention events inside parallel compile
-    /// sections (volatile).
-    pub par_shard_contention: u64,
     /// Wall-clock seconds of this point's evaluation (volatile).
     pub seconds: f64,
 }
@@ -878,16 +792,6 @@ pub struct BenchSweepTotals {
     pub romdd_cache_misses: u64,
     /// ROMDD operation-cache evictions across all managers.
     pub romdd_cache_evictions: u64,
-    /// Parallel compile sections entered across all managers (ROBDD +
-    /// ROMDD; volatile — tracks the `--compile-threads` resource knob).
-    pub par_sections: u64,
-    /// Tasks executed inside parallel compile sections (volatile).
-    pub par_tasks: u64,
-    /// Work-steal events inside parallel compile sections (volatile).
-    pub par_steals: u64,
-    /// Unique-table shard-lock contention events inside parallel compile
-    /// sections (volatile).
-    pub par_shard_contention: u64,
     /// Wall-clock seconds of the whole run (volatile).
     pub wall_seconds: f64,
     /// Sum of the workers' busy seconds (volatile).
@@ -908,10 +812,6 @@ pub struct BenchSweepDoc {
     pub schema: String,
     /// Worker threads used (volatile).
     pub threads: usize,
-    /// Worker threads used *inside* each compilation (volatile — a
-    /// resource knob; every other deterministic field is bit-identical
-    /// at every setting).
-    pub compile_threads: usize,
     /// Per-point measurements, in matrix order.
     pub points: Vec<BenchSweepPoint>,
     /// Aggregates.
@@ -951,11 +851,6 @@ impl BenchSweepDoc {
                     robdd_cache_hit_percent: report.robdd_stats.op_cache_hit_rate_percent(),
                     robdd_cache_evict_percent: report.robdd_stats.op_cache_evict_rate_percent(),
                     robdd_complement_hits: report.robdd_stats.complement_hits,
-                    par_sections: report.robdd_stats.par_sections + report.romdd_stats.par_sections,
-                    par_tasks: report.robdd_stats.par_tasks + report.romdd_stats.par_tasks,
-                    par_steals: report.robdd_stats.par_steals + report.romdd_stats.par_steals,
-                    par_shard_contention: report.robdd_stats.par_shard_contention
-                        + report.romdd_stats.par_shard_contention,
                     seconds: report.total_time.as_secs_f64(),
                 })
             })
@@ -963,7 +858,6 @@ impl BenchSweepDoc {
         Self {
             schema: BENCH_SWEEP_SCHEMA.to_string(),
             threads: summary.threads,
-            compile_threads: summary.compile_threads,
             points,
             totals: BenchSweepTotals {
                 points: summary.points,
@@ -981,11 +875,6 @@ impl BenchSweepDoc {
                 romdd_cache_hits: summary.romdd.op_cache_hits,
                 romdd_cache_misses: summary.romdd.op_cache_misses,
                 romdd_cache_evictions: summary.romdd.op_cache_evictions,
-                par_sections: summary.robdd.par_sections + summary.romdd.par_sections,
-                par_tasks: summary.robdd.par_tasks + summary.romdd.par_tasks,
-                par_steals: summary.robdd.par_steals + summary.romdd.par_steals,
-                par_shard_contention: summary.robdd.par_shard_contention
-                    + summary.romdd.par_shard_contention,
                 wall_seconds: summary.wall_time.as_secs_f64(),
                 busy_seconds: summary.busy_time.as_secs_f64(),
                 compile_seconds: summary.compile_time.as_secs_f64(),
@@ -1229,33 +1118,92 @@ mod tests {
     fn volatile_anchor_fields() {
         assert!(is_volatile_anchor_field("seconds"));
         assert!(is_volatile_anchor_field("threads"));
-        assert!(is_volatile_anchor_field("compile_threads"));
         assert!(is_volatile_anchor_field("wall_seconds"));
         assert!(is_volatile_anchor_field("compile_seconds"));
-        assert!(is_volatile_anchor_field("par_sections"));
-        assert!(is_volatile_anchor_field("par_tasks"));
-        assert!(is_volatile_anchor_field("par_steals"));
-        assert!(is_volatile_anchor_field("par_shard_contention"));
+        assert!(is_volatile_anchor_field("robdd_complement_hits"));
         assert!(!is_volatile_anchor_field("points"));
         assert!(!is_volatile_anchor_field("yield_lower_bound"));
         assert!(!is_volatile_anchor_field("robdd_peak"));
-        // Cache counters are gated strictly by default…
         assert!(!is_volatile_anchor_field("robdd_cache_hits"));
-        assert!(is_cache_counter_anchor_field("robdd_cache_hits"));
-        assert!(is_cache_counter_anchor_field("romdd_cache_hit_percent"));
-        assert!(!is_cache_counter_anchor_field("robdd_size"));
+        // Fields of the removed intra-compilation pool are no longer
+        // exempt, so a stale fixture carrying them fails the gate.
+        assert!(!is_volatile_anchor_field("compile_threads"));
+        assert!(!is_volatile_anchor_field("par_tasks"));
+        let stale = "{\n  \"par_tasks\": 0,\n  \"robdd_size\": 9897\n}";
+        let fresh = "{\n  \"robdd_size\": 9897\n}";
+        assert!(diff_anchors(stale, fresh).is_some_and(|r| r.contains("$.par_tasks")));
         // The structural diff applies the same volatile set.
         let fixture = "{\n  \"threads\": 4,\n  \"robdd_size\": 9897,\n  \"busy_seconds\": 0.5\n}";
         let rerun = "{\n  \"threads\": 1,\n  \"robdd_size\": 9897,\n  \"busy_seconds\": 9.5\n}";
         assert_eq!(diff_anchors(fixture, rerun), None);
-        // …and exempted only under the lax parallel-compile mode, which
-        // still gates everything else bit-for-bit.
-        let fixture = "{\n  \"robdd_cache_hits\": 120,\n  \"robdd_size\": 9897\n}";
-        let parallel = "{\n  \"robdd_cache_hits\": 118,\n  \"robdd_size\": 9897\n}";
-        assert_eq!(diff_anchor_values_lax(fixture, parallel, true).unwrap(), Vec::<String>::new());
-        assert_eq!(diff_anchor_values_lax(fixture, parallel, false).unwrap().len(), 1);
-        let drifted = "{\n  \"robdd_cache_hits\": 118,\n  \"robdd_size\": 9898\n}";
-        assert_eq!(diff_anchor_values_lax(fixture, drifted, true).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn diff_policies_exempt_only_their_fields() {
+        let fixture = "{\n  \"chunks\": 9,\n  \"robdd_size\": 9897,\n  \"romdd_cache_hits\": 5,\n  \"romdd_size\": 40\n}";
+        let other_mode = fixture
+            .replace("9897", "9001")
+            .replace("\"romdd_cache_hits\": 5", "\"romdd_cache_hits\": 7");
+        let other_shape = other_mode.replace("\"chunks\": 9", "\"chunks\": 1");
+        let count =
+            |actual: &str, policy| diff_anchor_values(fixture, actual, policy).unwrap().len();
+        assert_eq!(count(&other_mode, DiffPolicy::Strict), 2);
+        assert_eq!(count(&other_mode, DiffPolicy::ComplementInvariant), 0);
+        assert_eq!(count(&other_shape, DiffPolicy::ComplementInvariant), 1, "chunks stay gated");
+        assert_eq!(count(&other_shape, DiffPolicy::DeltaEquivalence), 0);
+        // Result fields stay gated under every policy.
+        let drifted = other_mode.replace("\"romdd_size\": 40", "\"romdd_size\": 41");
+        for (_, policy) in DIFF_POLICY_FLAGS {
+            assert_eq!(count(&drifted, policy), 1, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn cli_arguments_parse_strictly() {
+        let parse = |argv: &[&str]| parse_cli_from(30, argv.iter().map(ToString::to_string));
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(defaults.max_components, 30);
+        assert_eq!(defaults.threads, 0);
+        assert_eq!(defaults.options, CompileOptions::default());
+        let full = parse(&[
+            "--max-components",
+            "20",
+            "--json",
+            "out.json",
+            "--threads",
+            "2",
+            "--baseline",
+            "base.json",
+            "--scratch-deltas",
+            "--no-complement-edges",
+            "--node-budget",
+            "4000000",
+        ])
+        .unwrap();
+        assert_eq!(full.max_components, 20);
+        assert_eq!(full.json.as_deref(), Some("out.json"));
+        assert_eq!(full.threads, 2);
+        assert_eq!(full.baseline.as_deref(), Some("base.json"));
+        assert!(full.scratch_deltas);
+        assert_eq!(
+            full.options,
+            CompileOptions::new().with_complement_edges(false).with_node_budget(4_000_000)
+        );
+        // Unknown flags — including the removed compile-thread knobs —
+        // and missing or malformed values are errors, not warnings.
+        for (argv, expected) in [
+            (&["--bogus"][..], "unknown argument `--bogus`"),
+            (&["--compile-threads", "4"][..], "unknown argument `--compile-threads`"),
+            (&["--threads", "abc"][..], "--threads requires an integer"),
+            (&["--threads"][..], "--threads requires an integer"),
+            (&["--max-components", "-1"][..], "--max-components requires an integer"),
+            (&["--json"][..], "--json requires a path"),
+            (&["--node-budget", "oops"][..], "--node-budget requires an integer"),
+        ] {
+            assert_eq!(parse(argv).unwrap_err(), expected, "{argv:?}");
+        }
+        assert!(cli_usage("table4").starts_with("Usage: table4 "));
+        assert!(cli_usage("table4").contains("--node-budget"));
     }
 
     #[test]
@@ -1275,25 +1223,25 @@ mod tests {
   }
 ]"#;
         let actual = fixture.replace("100", "101").replace("0.25", "0.26").replace("0.2,", "9.9,");
-        let diffs = diff_anchor_values(fixture, &actual).unwrap();
+        let diffs = diff_anchor_values(fixture, &actual, DiffPolicy::Strict).unwrap();
         // Both real divergences are listed, the wall-clock one is not.
         assert_eq!(diffs.len(), 2, "{diffs:?}");
         assert!(diffs[0].contains("$[0].robdd_size") && diffs[0].contains("101"), "{diffs:?}");
         assert!(diffs[1].contains("$[1].yield_lower_bound"), "{diffs:?}");
         // Missing and extra fields are named.
         let missing = fixture.replace("    \"robdd_size\": 100,\n", "");
-        let diffs = diff_anchor_values(fixture, &missing).unwrap();
+        let diffs = diff_anchor_values(fixture, &missing, DiffPolicy::Strict).unwrap();
         assert!(diffs.iter().any(|d| d.contains("$[0].robdd_size") && d.contains("missing")));
-        let diffs = diff_anchor_values(&missing, fixture).unwrap();
+        let diffs = diff_anchor_values(&missing, fixture, DiffPolicy::Strict).unwrap();
         assert!(diffs.iter().any(|d| d.contains("not in fixture")));
     }
 
     #[test]
     fn anchor_diff_surfaces_malformed_documents_readably() {
         let good = "[]";
-        let err = diff_anchor_values("{ not json", good).unwrap_err();
+        let err = diff_anchor_values("{ not json", good, DiffPolicy::Strict).unwrap_err();
         assert!(err.contains("fixture is malformed"), "{err}");
-        let err = diff_anchor_values(good, "[1, 2").unwrap_err();
+        let err = diff_anchor_values(good, "[1, 2", DiffPolicy::Strict).unwrap_err();
         assert!(err.contains("actual is malformed"), "{err}");
         // diff_anchors (the binary's entry point) reports instead of panicking.
         let report = diff_anchors("{ not json", good).unwrap();

@@ -207,23 +207,14 @@ fn new_bdd_manager(num_levels: usize, options: &CompileOptions) -> BddManager {
     if !options.complement_edges() {
         bdd.set_complement(false);
     }
-    bdd.set_compile_threads(options.compile_threads());
-    if options.compile_grain() > 0 {
-        bdd.set_par_grain(options.compile_grain());
-    }
     bdd
 }
 
 fn new_mdd_manager(domains: Vec<usize>, options: &CompileOptions) -> MddManager {
-    let mut mdd = match options.op_cache_capacity() {
+    match options.op_cache_capacity() {
         0 => MddManager::new(domains),
         cap => MddManager::with_cache_capacity(domains, cap, cap),
-    };
-    mdd.set_compile_threads(options.compile_threads());
-    if options.compile_grain() > 0 {
-        mdd.set_par_grain(options.compile_grain());
     }
-    mdd
 }
 
 impl CompiledModel {
@@ -643,13 +634,12 @@ impl Pipeline {
         Ok(pipeline)
     }
 
-    /// Sets the kernel knobs (compile threads, parallel grain,
-    /// complemented edges, op-cache capacity) every subsequent
-    /// compilation runs under. These are resource/representation knobs,
-    /// not analysis options: every yield, error bound, truncation and
-    /// ROMDD node count is bit-identical at every setting, so they
-    /// deliberately live outside [`AnalysisOptions`] and never
-    /// participate in model reuse keys.
+    /// Sets the kernel knobs (complemented edges, op-cache capacity,
+    /// resource limits) every subsequent compilation runs under. These
+    /// are resource/representation knobs, not analysis options: every
+    /// yield, error bound, truncation and ROMDD node count is
+    /// bit-identical at every setting, so they deliberately live outside
+    /// [`AnalysisOptions`] and never participate in model reuse keys.
     pub fn set_options(&mut self, options: CompileOptions) {
         self.options = options;
     }
@@ -667,40 +657,6 @@ impl Pipeline {
     /// to detach.
     pub fn set_cancel_token(&mut self, cancel: Option<CancelToken>) {
         self.cancel = cancel;
-    }
-
-    /// Compat shim over [`Pipeline::set_options`] /
-    /// [`CompileOptions::with_compile_threads`].
-    pub fn set_compile_threads(&mut self, threads: usize) {
-        self.options = self.options.with_compile_threads(threads);
-    }
-
-    /// Worker threads used inside a single compilation.
-    pub fn compile_threads(&self) -> usize {
-        self.options.compile_threads()
-    }
-
-    /// Compat shim over [`Pipeline::set_options`] /
-    /// [`CompileOptions::with_compile_grain`].
-    pub fn set_compile_grain(&mut self, grain: usize) {
-        self.options = self.options.with_compile_grain(grain);
-    }
-
-    /// Sequential-grain cutoff of the parallel compile sections
-    /// (`0` = manager default).
-    pub fn compile_grain(&self) -> usize {
-        self.options.compile_grain()
-    }
-
-    /// Compat shim over [`Pipeline::set_options`] /
-    /// [`CompileOptions::with_complement_edges`].
-    pub fn set_complement_edges(&mut self, on: bool) {
-        self.options = self.options.with_complement_edges(on);
-    }
-
-    /// Whether compilations use complemented edges in the ROBDD kernel.
-    pub fn complement_edges(&self) -> bool {
-        self.options.complement_edges()
     }
 
     /// The fault tree this pipeline analyses.

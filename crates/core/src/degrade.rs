@@ -125,8 +125,8 @@ impl Fidelity {
 /// Every rung recompiles under the same [`CompileOptions`] limits as the
 /// original attempt (fresh governor, so the budget and deadline apply
 /// per attempt). The Monte-Carlo fallback is deterministic for a fixed
-/// `(samples, seed)` and independent of compile threads, so degraded
-/// answers are as reproducible as exact ones.
+/// `(samples, seed)` and independent of the sweep's thread count, so
+/// degraded answers are as reproducible as exact ones.
 ///
 /// [`CompileOptions`]: socy_dd::CompileOptions
 #[derive(Debug, Clone, PartialEq)]

@@ -164,38 +164,6 @@ impl OpCache {
         None
     }
 
-    /// Read-only probe that mutates no counters, usable through a shared
-    /// reference while the cache is frozen (the parallel sections of
-    /// [`crate::par`] consult the pre-section cache this way; hits and
-    /// misses on that path are accounted separately and folded back in
-    /// via [`OpCache::add_external`]).
-    #[inline]
-    pub fn peek(&self, key: OpKey) -> Option<u32> {
-        let (op, a, b, c) = key;
-        debug_assert!((op as usize) < NUM_OP_TAGS, "operation tag {op} out of range");
-        let idx = self.index(op, a, b, c);
-        if self.tags[idx] == self.live_tag(op) {
-            let slot = self.slots[idx];
-            if slot.a == a && slot.b == b && slot.c == c {
-                return Some(slot.result);
-            }
-        }
-        None
-    }
-
-    /// Folds externally accounted lookup/insertion counts into the
-    /// totals. The parallel apply sections run their own session cache
-    /// (plus read-only [`OpCache::peek`]s of this one) and tally traffic
-    /// in worker-local counters; absorbing a session adds them here so
-    /// the aggregate hit/miss statistics still describe the whole
-    /// workload. The per-operation breakdown intentionally stays
-    /// sequential-only.
-    pub fn add_external(&mut self, hits: u64, misses: u64, insertions: u64) {
-        self.hits += hits;
-        self.misses += misses;
-        self.insertions += insertions;
-    }
-
     /// Memoizes the result of an operation, evicting whatever live entry
     /// occupied the key's slot.
     #[inline]
@@ -356,20 +324,6 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.hits(), 1, "stats survive a clear");
         assert_eq!(cache.get((0, 2, 3, 0)), None, "cleared entries are gone");
-    }
-
-    #[test]
-    fn peek_is_stat_free_and_add_external_folds_in() {
-        let mut cache = OpCache::default();
-        cache.insert((0, 2, 3, 0), 7);
-        assert_eq!(cache.peek((0, 2, 3, 0)), Some(7));
-        assert_eq!(cache.peek((1, 2, 3, 0)), None);
-        assert_eq!(cache.hits(), 0, "peek counts nothing");
-        assert_eq!(cache.misses(), 0, "peek counts nothing");
-        cache.add_external(10, 20, 5);
-        assert_eq!(cache.hits(), 10);
-        assert_eq!(cache.misses(), 20);
-        assert_eq!(cache.insertions(), 6);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Complemented-edge encoding: one bit in every node id that negates the
 //! function the edge points to.
 //!
-//! An edge value is an arena id (or a parallel-session id, see
-//! [`crate::par`]) with bit 30 ([`CPL_BIT`]) optionally set. A set bit
-//! means "the negation of the function rooted at the pointed-to node".
+//! An edge value is an arena id with bit 30 ([`CPL_BIT`]) optionally
+//! set. A set bit means "the negation of the function rooted at the
+//! pointed-to node".
 //! Terminals are never complemented: [`negate`] maps `ZERO ↔ ONE`
 //! directly, so a complemented edge always points at a decision node.
 //!
@@ -20,9 +20,8 @@
 use crate::kernel::{ONE, ZERO};
 
 /// The complement bit: set on an edge value to denote the negation of
-/// the pointed-to node's function. Chosen beside `PAR_BIT` (bit 31) and
-/// above the parallel-session shard/index fields (bits 0..30), so frozen
-/// arena ids and session ids both have room for it.
+/// the pointed-to node's function. Arena ids must stay below `2^30`
+/// (16 GiB of 16-byte node headers) for the bit to stay free.
 pub const CPL_BIT: u32 = 1 << 30;
 
 /// True if the edge carries the complement bit.
@@ -40,7 +39,7 @@ pub fn strip(id: u32) -> u32 {
 /// The edge denoting the negation of `id`'s function.
 ///
 /// Terminals negate to each other (they never carry the bit); every
-/// other edge — frozen or session — just toggles [`CPL_BIT`].
+/// other edge just toggles [`CPL_BIT`].
 #[inline]
 pub fn negate(id: u32) -> u32 {
     match id {
@@ -86,12 +85,5 @@ mod tests {
         assert_eq!(negate_if(false, 7), 7);
         assert_eq!(negate_if(true, 7), 7 | CPL_BIT);
         assert_eq!(negate_if(true, ZERO), ONE);
-    }
-
-    #[test]
-    fn session_ids_keep_their_par_bit() {
-        let par = (1u32 << 31) | 123;
-        assert_eq!(strip(negate(par)), par);
-        assert!(is_complemented(negate(par)));
     }
 }

@@ -2,27 +2,23 @@
 //! wall-clock deadlines, cooperative cancellation and deterministic
 //! fail-point fault injection.
 //!
-//! A [`Governor`] is a small shared counter attached to a kernel (and,
-//! through [`crate::DdKernel::absorb_par`]-bound sessions, to the
-//! parallel task driver). Every node *materialisation* — a unique-table
-//! insertion that actually grew the arena or a session shard — reports
-//! through [`Governor::on_alloc`]; the governor trips when a limit is
-//! crossed and aborts the compilation by unwinding with a private
-//! `GovernorAbort` payload. The abort is caught at the compilation
-//! boundary by [`catch_governed`], which converts it into a typed
-//! [`DdError`] — never a user-visible panic.
+//! A [`Governor`] is a small shared counter attached to a kernel. Every
+//! node *materialisation* — a unique-table insertion that actually grew
+//! the arena — reports through [`Governor::on_alloc`]; the governor
+//! trips when a limit is crossed and aborts the compilation by unwinding
+//! with a private `GovernorAbort` payload. The abort is caught at the
+//! compilation boundary by [`catch_governed`], which converts it into a
+//! typed [`DdError`] — never a user-visible panic.
 //!
 //! # Semantics
 //!
 //! * **Node budget** counts materialised nodes *per governed run*, across
 //!   every manager the governor is armed on (a compilation arms one
 //!   governor on both its ROBDD and ROMDD managers, so the budget bounds
-//!   the whole compile). Parallel compilations may count slightly more
-//!   than sequential ones (session shards deduplicate per shard, and
-//!   absorbed nodes re-materialise into the arena), so a budget is a
-//!   resource bound, not an exact node count — the same compilation
-//!   either fits comfortably or exceeds it at every thread count, by
-//!   design of the callers (budgets are chosen with wide margins).
+//!   the whole compile). Compilation is sequential and deterministic, so
+//!   the count is exact: the same compilation materialises the same
+//!   number of nodes on every run, and a budget trips at the same node
+//!   every time.
 //! * **Deadline** is polled lazily: at the first allocation and then once
 //!   every `POLL_STRIDE` (256) allocations, so an un-allocating hot loop
 //!   between allocations never pays a clock read.
@@ -35,10 +31,9 @@
 //! # Cleanup contract
 //!
 //! A trip unwinds out of the kernel *after* the offending node is fully
-//! inserted — the unique table, arena and session shards are never left
-//! half-updated. Callers observe the contract end to end: an aborted
-//! parallel session is dropped un-absorbed, an aborted sequential build
-//! is garbage-collected, and a subsequent compile of the same system is
+//! inserted — the unique table and arena are never left half-updated.
+//! Callers observe the contract end to end: an aborted build is
+//! garbage-collected, and a subsequent compile of the same system is
 //! bit-identical to an undisturbed one (see `tests/governed_compile.rs`
 //! at the workspace root).
 
@@ -146,8 +141,7 @@ struct Inner {
 }
 
 /// The panic payload a tripped governor unwinds with. Private to the
-/// crate: [`catch_governed`] and the parallel task driver are the only
-/// places that look for it.
+/// crate: [`catch_governed`] is the only place that looks for it.
 pub(crate) struct GovernorAbort(pub(crate) DdError);
 
 /// Installs (once, process-wide) a panic hook that silences
@@ -252,8 +246,7 @@ impl Governor {
 
     /// Polls the non-counting limits (deadline, cancellation) and the
     /// shared trip state, unwinding with a governor abort when any has
-    /// fired. The parallel task driver calls this between phases so a
-    /// trip on a worker thread re-raises on the driving thread.
+    /// fired.
     ///
     /// # Panics
     ///
@@ -297,22 +290,15 @@ impl Governor {
 /// the typed [`DdError`] that tripped it. Non-governor panics resume
 /// unwinding unchanged, so ordinary fault containment (and test
 /// failures) behave exactly as without a governor.
-///
-/// The fallback to [`Governor::error`] covers unwind paths that lose the
-/// payload — `std::thread::scope` replaces a worker panic with its own
-/// message — so a trip is never misreported as a plain panic.
 pub fn catch_governed<R>(governor: Option<&Governor>, f: impl FnOnce() -> R) -> Result<R, DdError> {
-    let Some(governor) = governor else {
+    if governor.is_none() {
         return Ok(f());
-    };
+    }
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => Ok(result),
         Err(payload) => match payload.downcast::<GovernorAbort>() {
             Ok(abort) => Err(abort.0),
-            Err(payload) => match governor.error() {
-                Some(error) => Err(error),
-                None => resume_unwind(payload),
-            },
+            Err(payload) => resume_unwind(payload),
         },
     }
 }

@@ -44,21 +44,6 @@ pub struct DdStats {
     pub gc_runs: u64,
     /// Total nodes reclaimed across all collections.
     pub gc_reclaimed: u64,
-    /// Parallel apply/conversion sections run (see [`crate::par`]). Zero
-    /// whenever the engines compile with one thread, so single-thread
-    /// statistics stay bit-identical to the pre-parallel kernel.
-    pub par_sections: u64,
-    /// Leaf tasks executed by the work-stealing pool across all parallel
-    /// sections. Deterministic for a fixed input (the task tree is built
-    /// before the workers start).
-    pub par_tasks: u64,
-    /// Tasks a pool worker stole from another worker's deque.
-    /// Scheduling-dependent, hence nondeterministic across runs.
-    pub par_steals: u64,
-    /// Times a session unique-table shard lock was observed contended
-    /// (`try_lock` failed and the thread had to wait). Scheduling-
-    /// dependent, hence nondeterministic across runs.
-    pub par_shard_contention: u64,
     /// Operation-cache hits obtained through complemented-edge negation
     /// normalization (the memoized result answered the negated form of
     /// the query and was flipped for free). Zero whenever complement
@@ -178,14 +163,8 @@ pub struct DdKernel {
     peak_snapshot: usize,
     gc_runs: u64,
     gc_reclaimed: u64,
-    /// Counters of the parallel sections absorbed into this kernel (see
-    /// [`crate::par`] and [`DdStats`] for the field meanings).
-    pub(crate) par_sections: u64,
-    pub(crate) par_tasks: u64,
-    pub(crate) par_steals: u64,
-    pub(crate) par_shard_contention: u64,
     /// Complement-normalized cache hits (see [`DdStats::complement_hits`]).
-    pub(crate) complement_hits: u64,
+    complement_hits: u64,
     /// Complemented-edge mode: when on, [`DdKernel::mk`] enforces the
     /// regular-high canonical form of [`crate::edge`] and returns
     /// complemented edges where that halves the diagram. Only meaningful
@@ -246,10 +225,6 @@ impl DdKernel {
             peak_snapshot: 0,
             gc_runs: 0,
             gc_reclaimed: 0,
-            par_sections: 0,
-            par_tasks: 0,
-            par_steals: 0,
-            par_shard_contention: 0,
             complement_hits: 0,
             complement: false,
             prob: ProbScratch::default(),
@@ -413,17 +388,10 @@ impl DdKernel {
         self.op_cache.insert(key, result);
     }
 
-    /// Read-only cache probe that mutates no counters (usable through a
-    /// shared reference; the parallel sections of [`crate::par`] consult
-    /// the frozen pre-section cache this way).
-    pub fn cache_peek(&self, key: OpKey) -> Option<u32> {
-        self.op_cache.peek(key)
-    }
-
-    /// Shared access to the operation cache for the parallel session
-    /// machinery (stats folding at absorb time).
-    pub(crate) fn op_cache_mut(&mut self) -> &mut OpCache {
-        &mut self.op_cache
+    /// Records one op-cache hit obtained through negation normalization
+    /// (counted into [`DdStats::complement_hits`]).
+    pub fn note_complement_hit(&mut self) {
+        self.complement_hits += 1;
     }
 
     /// Drops all memoized operation results (the unique table is kept, so
@@ -452,10 +420,6 @@ impl DdKernel {
             per_op: *self.op_cache.per_op_stats(),
             gc_runs: self.gc_runs,
             gc_reclaimed: self.gc_reclaimed,
-            par_sections: self.par_sections,
-            par_tasks: self.par_tasks,
-            par_steals: self.par_steals,
-            par_shard_contention: self.par_shard_contention,
             complement_hits: self.complement_hits,
         }
     }
@@ -614,29 +578,6 @@ impl DdKernel {
     /// Number of non-terminal nodes reachable from `root`.
     pub fn inner_node_count(&self, root: u32) -> usize {
         self.reachable(root).iter().filter(|&&id| id > ONE).count()
-    }
-
-    /// Number of distinct nodes reachable from the union of `roots`,
-    /// but stopping as soon as the count reaches `cap`. The parallel
-    /// engines use this to decide whether an operand set is large enough
-    /// to be worth a parallel section without paying a full traversal on
-    /// small diagrams.
-    pub fn node_count_capped(&self, roots: &[u32], cap: usize) -> usize {
-        let mut seen = vec![false; self.arena.len()];
-        let mut stack: Vec<u32> = roots.to_vec();
-        let mut count = 0usize;
-        while let Some(id) = stack.pop() {
-            let id = strip(id);
-            if std::mem::replace(&mut seen[id as usize], true) {
-                continue;
-            }
-            count += 1;
-            if count >= cap {
-                return count;
-            }
-            stack.extend_from_slice(self.arena.children(id));
-        }
-        count
     }
 
     /// The set of variable levels appearing in `root`, in increasing

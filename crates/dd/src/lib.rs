@@ -59,25 +59,21 @@
 
 pub mod arena;
 pub mod cache;
-pub mod ctx;
 pub mod dot;
 pub mod edge;
 pub mod govern;
 pub mod hash;
 pub mod kernel;
 pub mod options;
-pub mod par;
 pub mod reorder;
 pub mod unique;
 
 pub use arena::{NodeArena, TERMINAL_LEVEL};
 pub use cache::{OpCache, OpTagStats, NUM_OP_TAGS};
-pub use ctx::DdCtx;
 pub use edge::{is_complemented, negate, negate_if, strip, CPL_BIT};
 pub use govern::{catch_governed, CancelToken, DdError, Governor, GovernorLimits};
 pub use kernel::{DdKernel, DdStats, GcStats, Protect, Ref, ONE, ZERO};
 pub use options::CompileOptions;
-pub use par::{is_par, run_tasks, ParRef, ParSession, Split};
 pub use reorder::{SiftConfig, SiftOutcome};
 pub use unique::UniqueTable;
 

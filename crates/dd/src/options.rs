@@ -2,17 +2,16 @@
 //!
 //! Every layer that compiles decision diagrams — `CompiledModel` and
 //! `Pipeline` in `soc-yield-core`, `SweepMatrix` in `socy-exec`,
-//! `ServiceConfig` in `socy-serve`, the bench/serve CLIs — used to mirror
-//! the same per-knob fields (`compile_threads`, `compile_grain`,
-//! `complement_edges`) and setters. [`CompileOptions`] is the single
-//! source of truth for those knobs now: one value is built at the edge
+//! `ServiceConfig` in `socy-serve`, the bench/serve CLIs — reads its
+//! kernel knobs from one [`CompileOptions`] value, built at the edge
 //! (CLI flags, wire requests, test setup) and carried down the stack
 //! unchanged.
 //!
 //! Every knob here is a *resource or representation* choice, never an
 //! analysis option: yields, error bounds, truncations and ROMDD node
-//! counts are bit-identical at every setting, which is why none of these
-//! participate in model-reuse or cache keys.
+//! counts are bit-identical at every setting (a node budget or deadline
+//! decides only whether a compilation completes), which is why none of
+//! these participate in model-reuse or cache keys.
 
 /// Knobs of a decision-diagram compilation, carried as one value through
 /// the pipeline/executor/service layers.
@@ -22,15 +21,13 @@
 /// ```
 /// use socy_dd::CompileOptions;
 ///
-/// let options = CompileOptions::new().with_compile_threads(4).with_complement_edges(false);
-/// assert_eq!(options.compile_threads(), 4);
+/// let options = CompileOptions::new().with_complement_edges(false).with_node_budget(1 << 20);
 /// assert!(!options.complement_edges());
+/// assert_eq!(options.node_budget(), 1 << 20);
 /// assert_eq!(CompileOptions::default(), CompileOptions::new());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompileOptions {
-    compile_threads: usize,
-    compile_grain: usize,
     complement_edges: bool,
     op_cache_capacity: usize,
     node_budget: usize,
@@ -41,8 +38,6 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         Self {
-            compile_threads: 1,
-            compile_grain: 0,
             complement_edges: true,
             op_cache_capacity: 0,
             node_budget: 0,
@@ -53,32 +48,10 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// The default options: sequential compilation, manager-default
-    /// parallel grain and op-cache capacity, complemented edges on.
+    /// The default options: complemented edges on, manager-default
+    /// op-cache capacity, no resource limits.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the number of worker threads used *inside* a single
-    /// compilation (the apply/ITE calls building the coded ROBDD and the
-    /// ROBDD → ROMDD conversion). Values are clamped to ≥ 1; `1` keeps
-    /// compilation fully sequential. Results are bit-identical at every
-    /// setting.
-    #[must_use]
-    pub fn with_compile_threads(mut self, threads: usize) -> Self {
-        self.compile_threads = threads.max(1);
-        self
-    }
-
-    /// Sets the sequential-grain cutoff of the parallel compile sections:
-    /// an apply/conversion only fans out across the compile threads when
-    /// its operands hold at least this many nodes. `0` (the default)
-    /// keeps the managers' built-in grain; tests lower it to exercise the
-    /// parallel paths on small diagrams.
-    #[must_use]
-    pub fn with_compile_grain(mut self, grain: usize) -> Self {
-        self.compile_grain = grain;
-        self
     }
 
     /// Enables or disables complemented (negative) edges in the ROBDD
@@ -135,15 +108,12 @@ impl CompileOptions {
         self
     }
 
-    /// Worker threads used inside a single compilation (≥ 1).
-    pub fn compile_threads(&self) -> usize {
-        self.compile_threads
-    }
-
-    /// Sequential-grain cutoff of the parallel compile sections
-    /// (`0` = manager default).
-    pub fn compile_grain(&self) -> usize {
-        self.compile_grain
+    /// Worker threads used inside a single compilation: always `1`.
+    /// Compilation is sequential; parallelism lives one level up, in the
+    /// sweep executor's worker pool. Kept so run records can name the
+    /// compile-thread count next to the host's processor count.
+    pub const fn compile_threads(&self) -> usize {
+        1
     }
 
     /// Whether compilations use complemented edges in the ROBDD kernel.
@@ -177,10 +147,6 @@ impl CompileOptions {
     /// helper, so a future knob is added (and documented) in exactly one
     /// place.
     pub const CLI_HELP: &'static str = "\
-  --compile-threads N  worker threads inside each compilation (default 1;
-                       results are bit-identical at every setting)
-  --compile-grain N    sequential-grain cutoff of the parallel compile
-                       sections (0 = manager default)
   --no-complement-edges
                        disable complemented edges in the ROBDD kernel
                        (yields and ROMDD sizes are bit-identical either way)
@@ -204,11 +170,11 @@ impl CompileOptions {
     /// use socy_dd::CompileOptions;
     ///
     /// let mut options = CompileOptions::new();
-    /// let mut rest = vec!["4".to_string()].into_iter();
-    /// assert_eq!(options.parse_cli_flag("--compile-threads", &mut rest), Ok(true));
+    /// let mut rest = vec!["4096".to_string()].into_iter();
+    /// assert_eq!(options.parse_cli_flag("--node-budget", &mut rest), Ok(true));
     /// assert_eq!(options.parse_cli_flag("--no-complement-edges", &mut rest), Ok(true));
     /// assert_eq!(options.parse_cli_flag("--json", &mut rest), Ok(false));
-    /// assert_eq!(options.compile_threads(), 4);
+    /// assert_eq!(options.node_budget(), 4096);
     /// assert!(!options.complement_edges());
     /// ```
     pub fn parse_cli_flag(
@@ -222,10 +188,6 @@ impl CompileOptions {
                 .ok_or_else(|| format!("{flag} requires an integer"))
         };
         match arg {
-            "--compile-threads" => {
-                *self = self.with_compile_threads(integer("--compile-threads")?);
-            }
-            "--compile-grain" => *self = self.with_compile_grain(integer("--compile-grain")?),
             "--no-complement-edges" => *self = self.with_complement_edges(false),
             "--op-cache-capacity" => {
                 *self = self.with_op_cache_capacity(integer("--op-cache-capacity")?);
@@ -247,32 +209,23 @@ mod tests {
     #[test]
     fn builders_and_getters_round_trip() {
         let options = CompileOptions::new()
-            .with_compile_threads(8)
-            .with_compile_grain(32)
             .with_complement_edges(false)
             .with_op_cache_capacity(1 << 12)
             .with_node_budget(1 << 20)
             .with_deadline_ms(250)
             .with_fail_after(17);
-        assert_eq!(options.compile_threads(), 8);
-        assert_eq!(options.compile_grain(), 32);
         assert!(!options.complement_edges());
         assert_eq!(options.op_cache_capacity(), 1 << 12);
         assert_eq!(options.node_budget(), 1 << 20);
         assert_eq!(options.deadline_ms(), 250);
         assert_eq!(options.fail_after(), 17);
-        // Threads are clamped to >= 1, matching the old setters.
-        assert_eq!(CompileOptions::new().with_compile_threads(0).compile_threads(), 1);
+        assert_eq!(options.compile_threads(), 1, "compilation is always sequential");
     }
 
     #[test]
     fn cli_flags_cover_every_knob() {
         let mut options = CompileOptions::new();
         let argv = [
-            "--compile-threads",
-            "4",
-            "--compile-grain",
-            "2",
             "--no-complement-edges",
             "--op-cache-capacity",
             "64",
@@ -288,8 +241,6 @@ mod tests {
         assert_eq!(
             options,
             CompileOptions::new()
-                .with_compile_threads(4)
-                .with_compile_grain(2)
                 .with_complement_edges(false)
                 .with_op_cache_capacity(64)
                 .with_node_budget(4096)
@@ -301,11 +252,13 @@ mod tests {
     fn cli_errors_and_unknown_flags() {
         let mut options = CompileOptions::new();
         let mut empty = Vec::<String>::new().into_iter();
-        assert!(options.parse_cli_flag("--compile-threads", &mut empty).is_err());
+        assert!(options.parse_cli_flag("--node-budget", &mut empty).is_err());
         let mut junk = vec!["abc".to_string()].into_iter();
-        assert!(options.parse_cli_flag("--compile-grain", &mut junk).is_err());
+        assert!(options.parse_cli_flag("--deadline-ms", &mut junk).is_err());
         let mut none = Vec::<String>::new().into_iter();
         assert_eq!(options.parse_cli_flag("--threads", &mut none), Ok(false));
+        let mut stale = vec!["4".to_string()].into_iter();
+        assert_eq!(options.parse_cli_flag("--compile-threads", &mut stale), Ok(false));
         assert_eq!(options, CompileOptions::new(), "failed parses leave the options unchanged");
     }
 }

@@ -139,33 +139,6 @@ impl SubTable {
         }
     }
 
-    /// Read-only probe: the node with these children, if present. Uses
-    /// the Robin Hood invariant for early exit on a miss, so a frozen
-    /// table can be probed lock-free from many threads (see
-    /// [`crate::par`]).
-    fn find(&self, arena: &NodeArena, children: &[u32]) -> Option<u32> {
-        let mask = self.buckets.len() - 1;
-        let hash = hash_children(children);
-        let mut idx = hash as usize & mask;
-        let mut dib = 0usize;
-        loop {
-            let bucket = self.buckets[idx];
-            if bucket.id == EMPTY {
-                return None;
-            }
-            if bucket.hash == hash && arena.children(bucket.id) == children {
-                return Some(bucket.id);
-            }
-            if idx.wrapping_sub(bucket.hash as usize) & mask < dib {
-                // Robin Hood invariant: an equal key cannot lie further
-                // along the chain than an occupant closer to home.
-                return None;
-            }
-            idx = (idx + 1) & mask;
-            dib += 1;
-        }
-    }
-
     /// Inserts `id` under the key `children`; the key must not be
     /// present.
     fn insert_new(&mut self, id: u32, children: &[u32]) {
@@ -257,15 +230,6 @@ impl UniqueTable {
         let id = self.tables[level as usize].get_or_insert(arena, level, children);
         self.len += self.tables[level as usize].len - before;
         id
-    }
-
-    /// Read-only probe for the canonical node `(level, children)`,
-    /// without creating anything. Safe to call concurrently from many
-    /// threads through a shared reference while the table is frozen —
-    /// this is the lock-free hit fast path of the parallel sections in
-    /// [`crate::par`].
-    pub fn find(&self, arena: &NodeArena, level: u32, children: &[u32]) -> Option<u32> {
-        self.tables.get(level as usize)?.find(arena, children)
     }
 
     /// Inserts a node under its *current* arena key. The key must not be
@@ -420,22 +384,6 @@ mod tests {
             assert_eq!(table.get_or_insert(&mut arena, i % 4096, &[i % 2, 1 - i % 2]), id);
         }
         assert_eq!(table.len(), arena.len() - 2);
-    }
-
-    #[test]
-    fn find_matches_get_or_insert_without_creating() {
-        let mut arena = NodeArena::new(vec![2; 64]);
-        let mut table = UniqueTable::default();
-        let ids: Vec<u32> =
-            (0..64u32).map(|i| table.get_or_insert(&mut arena, i, &[i % 2, 1 - i % 2])).collect();
-        let before = arena.len();
-        for (i, &id) in ids.iter().enumerate() {
-            let i = i as u32;
-            assert_eq!(table.find(&arena, i, &[i % 2, 1 - i % 2]), Some(id));
-            assert_eq!(table.find(&arena, i, &[1 - i % 2, i % 2]), None, "absent key");
-        }
-        assert_eq!(table.find(&arena, 999, &[0, 1]), None, "unknown level");
-        assert_eq!(arena.len(), before, "find never allocates");
     }
 
     #[test]

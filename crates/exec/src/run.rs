@@ -295,18 +295,6 @@ pub struct DdAggregate {
     pub gc_runs: u64,
     /// Nodes reclaimed by garbage collection across all managers.
     pub gc_reclaimed: u64,
-    /// Intra-compilation parallel sections opened across all managers
-    /// (always `0` when the matrix compiles sequentially).
-    pub par_sections: u64,
-    /// Tasks (splits + leaves) those parallel sections expanded into —
-    /// deterministic for a fixed matrix, like `par_sections`.
-    pub par_tasks: u64,
-    /// Tasks executed by a worker other than the one they were queued on.
-    /// Scheduling-dependent: nondeterministic run to run.
-    pub par_steals: u64,
-    /// Contended unique-table shard lock acquisitions inside parallel
-    /// sections. Scheduling-dependent: nondeterministic run to run.
-    pub par_shard_contention: u64,
 }
 
 impl DdAggregate {
@@ -322,10 +310,6 @@ impl DdAggregate {
         self.complement_hits += stats.complement_hits;
         self.gc_runs += stats.gc_runs;
         self.gc_reclaimed += stats.gc_reclaimed;
-        self.par_sections += stats.par_sections;
-        self.par_tasks += stats.par_tasks;
-        self.par_steals += stats.par_steals;
-        self.par_shard_contention += stats.par_shard_contention;
     }
 
     /// Fraction of operation-cache lookups that hit, in `[0, 1]`
@@ -377,9 +361,6 @@ pub struct WorkerSummary {
 pub struct SweepSummary {
     /// Number of worker threads used.
     pub threads: usize,
-    /// Worker threads used inside each chunk's compilation (from
-    /// [`SweepMatrix::options`]).
-    pub compile_threads: usize,
     /// Total design points (successful or failed).
     pub points: usize,
     /// Number of compilation chunks the matrix was partitioned into.
@@ -542,7 +523,6 @@ impl SweepMatrix {
         let mut pipelines: Vec<CompiledPipeline> = Vec::new();
         let mut summary = SweepSummary {
             threads,
-            compile_threads: self.options.compile_threads(),
             points: labels.len(),
             chunks: chunks.len(),
             failed_points: 0,

@@ -10,7 +10,7 @@
 //! a scratch arena owned by the manager (no allocation per operation).
 
 use crate::manager::{MddId, MddManager, TERMINAL_LEVEL};
-use socy_dd::{DdCtx, ONE, ZERO};
+use socy_dd::{DdKernel, ONE, ZERO};
 
 pub(crate) const OP_AND: u8 = 0;
 pub(crate) const OP_OR: u8 = 1;
@@ -102,15 +102,9 @@ impl MddManager {
         self.apply_root(op, f.0, g.0)
     }
 
-    /// Runs the apply machine on the sequential kernel, reusing the
-    /// manager's scratch arena (or dispatches a parallel section for
-    /// large operands when compile-threads are enabled).
+    /// Runs the apply machine on the kernel, reusing the manager's
+    /// scratch arena.
     fn apply_root(&mut self, op: u8, a: u32, b: u32) -> MddId {
-        if self.compile_threads > 1 {
-            if let Some(r) = crate::par::try_par_apply(self, op, a, b) {
-                return MddId(r);
-            }
-        }
         let mut scratch = std::mem::take(&mut self.scratch);
         let result = run_apply(&mut self.dd, &mut scratch, op, a, b);
         self.scratch = scratch;
@@ -119,29 +113,21 @@ impl MddManager {
 }
 
 /// The explicit-stack apply machine serving NOT, AND, OR and XOR over
-/// n-ary nodes, generic over the kernel view (sequential kernel or a
-/// parallel section's worker handle, where it acts as the leaf
-/// executor). Cofactor `Eval`s are pushed in reverse domain order, so
+/// n-ary nodes. Cofactor `Eval`s are pushed in reverse domain order, so
 /// their results accumulate on the result stack in value order and
 /// `Combine` consumes exactly the tail `arity(top)` slots.
-pub(crate) fn run_apply<C: DdCtx>(
-    ctx: &mut C,
-    scratch: &mut ApplyScratch,
-    op: u8,
-    a: u32,
-    b: u32,
-) -> u32 {
+fn run_apply(dd: &mut DdKernel, scratch: &mut ApplyScratch, op: u8, a: u32, b: u32) -> u32 {
     debug_assert!(scratch.frames.is_empty() && scratch.results.is_empty());
     scratch.frames.push(Frame::Eval { op, a, b });
     while let Some(frame) = scratch.frames.pop() {
         match frame {
-            Frame::Eval { op, a, b } => eval_step(ctx, op, a, b, scratch),
+            Frame::Eval { op, a, b } => eval_step(dd, op, a, b, scratch),
             Frame::Combine { op, a, b, top } => {
-                let domain = ctx.arity(top as usize);
+                let domain = dd.arity(top as usize);
                 let start = scratch.results.len() - domain;
-                let r = ctx.mk(top, &scratch.results[start..]);
+                let r = dd.mk(top, &scratch.results[start..]);
                 scratch.results.truncate(start);
-                ctx.cache_insert((op, a, b, 0), r);
+                dd.cache_insert((op, a, b, 0), r);
                 scratch.results.push(r);
             }
         }
@@ -152,7 +138,7 @@ pub(crate) fn run_apply<C: DdCtx>(
 }
 
 /// One `Eval` step: terminal rules, cache probe, or expansion.
-fn eval_step<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32, scratch: &mut ApplyScratch) {
+fn eval_step(dd: &mut DdKernel, op: u8, a: u32, b: u32, scratch: &mut ApplyScratch) {
     if op == OP_NOT {
         if a == ZERO {
             scratch.results.push(ONE);
@@ -162,14 +148,14 @@ fn eval_step<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32, scratch: &mut ApplyS
             scratch.results.push(ZERO);
             return;
         }
-        if let Some(r) = ctx.cache_get((OP_NOT, a, a, 0)) {
+        if let Some(r) = dd.cache_get((OP_NOT, a, a, 0)) {
             scratch.results.push(r);
             return;
         }
-        let top = ctx.raw_level(a);
+        let top = dd.raw_level(a);
         scratch.frames.push(Frame::Combine { op, a, b: a, top });
-        for v in (0..ctx.arity(top as usize)).rev() {
-            let child = ctx.child(a, v);
+        for v in (0..dd.arity(top as usize)).rev() {
+            let child = dd.child(a, v);
             scratch.frames.push(Frame::Eval { op, a: child, b: child });
         }
         return;
@@ -228,18 +214,18 @@ fn eval_step<C: DdCtx>(ctx: &mut C, op: u8, a: u32, b: u32, scratch: &mut ApplyS
         _ => unreachable!("unknown op"),
     }
     let (x, y) = if a <= b { (a, b) } else { (b, a) };
-    if let Some(r) = ctx.cache_get((op, x, y, 0)) {
+    if let Some(r) = dd.cache_get((op, x, y, 0)) {
         scratch.results.push(r);
         return;
     }
-    let la = ctx.raw_level(x);
-    let lb = ctx.raw_level(y);
+    let la = dd.raw_level(x);
+    let lb = dd.raw_level(y);
     let top = la.min(lb);
     debug_assert_ne!(top, TERMINAL_LEVEL);
     scratch.frames.push(Frame::Combine { op, a: x, b: y, top });
-    for v in (0..ctx.arity(top as usize)).rev() {
-        let ca = if la == top { ctx.child(x, v) } else { x };
-        let cb = if lb == top { ctx.child(y, v) } else { y };
+    for v in (0..dd.arity(top as usize)).rev() {
+        let ca = if la == top { dd.child(x, v) } else { x };
+        let cb = if lb == top { dd.child(y, v) } else { y };
         scratch.frames.push(Frame::Eval { op, a: ca, b: cb });
     }
 }

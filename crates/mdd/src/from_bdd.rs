@@ -15,7 +15,7 @@
 //! ROMDD node — the memoization key is just the ROBDD node id.
 
 use socy_bdd::{BddId, BddManager};
-use socy_dd::DdCtx;
+use socy_dd::DdKernel;
 
 use crate::coded::CodedLayout;
 use crate::manager::{MddId, MddManager};
@@ -23,14 +23,6 @@ use crate::manager::{MddId, MddManager};
 /// Sentinel of the dense conversion memo ("not converted yet"). Node ids
 /// are arena indices, so `u32::MAX` can never be a real ROMDD id.
 const UNSET: u32 = u32::MAX;
-
-/// Operation tag of conversion results in a parallel section's cache
-/// (tags 0–3 are the connectives, 4 is ITE in the ROBDD engine). Keyed
-/// on the *ROBDD* edge value — the node id including any complement
-/// bit, since `f` and `¬f` convert to different ROMDD nodes — which the
-/// layering requirement makes sound; only used inside one conversion's
-/// session cache, never the kernel's.
-pub(crate) const OP_CONV: u8 = 5;
 
 /// Index of a coded-ROBDD edge in the dense conversion memo: with
 /// complemented edges one physical node can be reached under both
@@ -43,7 +35,7 @@ fn memo_index(raw_edge: u32) -> usize {
 
 /// Precomputed codeword assignments: `assignments[mv][value]` is the
 /// sorted `(bit_level, bit)` list encoding `value` for group `mv`.
-pub(crate) type GroupAssignments = Vec<Vec<Vec<(usize, bool)>>>;
+type GroupAssignments = Vec<Vec<Vec<(usize, bool)>>>;
 
 /// One unit of work of the iterative converter: `Visit` resolves a coded
 /// ROBDD node into the memo; `Build` fires once every node reached below
@@ -102,23 +94,9 @@ impl MddManager {
         let assignments: GroupAssignments = (0..layout.num_vars())
             .map(|mv| (0..layout.vars[mv].domain).map(|v| layout.assignment_for(mv, v)).collect())
             .collect();
-        if self.compile_threads > 1 {
-            if let Some(r) = crate::par::try_par_convert(self, bdd, root, &assignments, &mv_of_bit)
-            {
-                return MddId(r);
-            }
-        }
         let mut scratch = std::mem::take(&mut self.conv);
         scratch.prepare(bdd);
-        let result = convert_with_ctx(
-            &mut self.dd,
-            bdd,
-            root,
-            &assignments,
-            &mv_of_bit,
-            &mut scratch,
-            false,
-        );
+        let result = convert(&mut self.dd, bdd, root, &assignments, &mv_of_bit, &mut scratch);
         self.conv = scratch;
         MddId(result)
     }
@@ -128,7 +106,7 @@ impl ConvScratch {
     /// Resets the memo for a fresh conversion out of `bdd` (terminals
     /// pre-seeded, everything else unconverted). Two slots per physical
     /// ROBDD node — one per complement parity (see [`memo_index`]).
-    pub(crate) fn prepare(&mut self, bdd: &BddManager) {
+    fn prepare(&mut self, bdd: &BddManager) {
         self.memo.clear();
         self.memo.resize(2 * bdd.allocated_nodes(), UNSET);
         self.memo[memo_index(BddId::ZERO.index() as u32)] = socy_dd::ZERO;
@@ -136,23 +114,15 @@ impl ConvScratch {
     }
 }
 
-/// The iterative top-down converter, generic over the kernel view: the
-/// sequential kernel, or a parallel section's worker handle — there it
-/// acts as the leaf executor, with `use_cache` sharing converted
-/// subtrees across workers through the section's lossy cache (keyed
-/// [`OP_CONV`] on the ROBDD node id).
-///
-/// `scratch.memo` must be prepared for `bdd` (see [`ConvScratch::prepare`])
-/// and is *kept* across calls — a worker converts many subtrees against
-/// one memo.
-pub(crate) fn convert_with_ctx<C: DdCtx>(
-    ctx: &mut C,
+/// The iterative top-down converter. `scratch.memo` must be prepared
+/// for `bdd` (see [`ConvScratch::prepare`]).
+fn convert(
+    dd: &mut DdKernel,
     bdd: &BddManager,
     root: BddId,
     assignments: &GroupAssignments,
     mv_of_bit: &[Option<usize>],
     scratch: &mut ConvScratch,
-    use_cache: bool,
 ) -> u32 {
     debug_assert!(scratch.frames.is_empty() && scratch.below.is_empty());
     scratch.frames.push(ConvFrame::Visit(root));
@@ -161,13 +131,6 @@ pub(crate) fn convert_with_ctx<C: DdCtx>(
             ConvFrame::Visit(node) => {
                 if scratch.memo[memo_index(node.index() as u32)] != UNSET {
                     continue;
-                }
-                if use_cache {
-                    let id = node.index() as u32;
-                    if let Some(r) = ctx.cache_get((OP_CONV, id, id, 0)) {
-                        scratch.memo[memo_index(id)] = r;
-                        continue;
-                    }
                 }
                 let bit_level = bdd.level(node).expect("non-terminal");
                 let mv = mv_of_bit.get(bit_level).copied().flatten().unwrap_or_else(|| {
@@ -191,11 +154,7 @@ pub(crate) fn convert_with_ctx<C: DdCtx>(
                     scratch.children.push(converted);
                 }
                 scratch.below.truncate(start as usize);
-                let result = ctx.mk(mv, &scratch.children);
-                if use_cache {
-                    let id = node.index() as u32;
-                    ctx.cache_insert((OP_CONV, id, id, 0), result);
-                }
+                let result = dd.mk(mv, &scratch.children);
                 scratch.memo[memo_index(node.index() as u32)] = result;
             }
         }

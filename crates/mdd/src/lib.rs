@@ -49,7 +49,6 @@ pub mod dot;
 pub mod from_bdd;
 pub mod layered;
 pub mod manager;
-pub mod par;
 pub mod prob;
 
 pub use coded::{CodedLayout, MvVarLayout};

@@ -64,17 +64,7 @@ pub struct MddManager {
     /// Reusable buffers of the iterative coded-ROBDD converter (see
     /// [`crate::from_bdd`]).
     pub(crate) conv: crate::from_bdd::ConvScratch,
-    /// Worker threads for intra-operation parallel sections (1 = always
-    /// sequential; see [`crate::par`]).
-    pub(crate) compile_threads: usize,
-    /// Minimum operand size (capped node count) below which an operation
-    /// stays sequential even when `compile_threads > 1`.
-    pub(crate) par_grain: usize,
 }
-
-/// Default sequential-grain cutoff: operands smaller than this never
-/// open a parallel section (splitting overhead would dominate).
-pub const DEFAULT_PAR_GRAIN: usize = 4096;
 
 impl MddManager {
     /// Creates a manager for multiple-valued variables with the given
@@ -87,36 +77,7 @@ impl MddManager {
     pub fn new(domains: Vec<usize>) -> Self {
         assert!(domains.iter().all(|&d| d >= 1), "every domain must have at least one value");
         let dd = DdKernel::new(domains.iter().map(|&d| d as u32).collect());
-        Self {
-            dd,
-            domains,
-            scratch: Default::default(),
-            conv: Default::default(),
-            compile_threads: 1,
-            par_grain: DEFAULT_PAR_GRAIN,
-        }
-    }
-
-    /// Sets the number of worker threads used *inside* a single
-    /// apply/conversion call. `1` (the default) keeps every operation on
-    /// the calling thread; higher counts split large operations across a
-    /// work-stealing pool with canonical, thread-count-invariant results
-    /// (node counts and probabilities are bit-identical at every
-    /// setting).
-    pub fn set_compile_threads(&mut self, threads: usize) {
-        self.compile_threads = threads.max(1);
-    }
-
-    /// Worker threads used inside a single operation.
-    pub fn compile_threads(&self) -> usize {
-        self.compile_threads
-    }
-
-    /// Sets the sequential-grain cutoff: operations whose operands hold
-    /// fewer than `grain` nodes stay sequential even with
-    /// [`MddManager::set_compile_threads`] above 1.
-    pub fn set_par_grain(&mut self, grain: usize) {
-        self.par_grain = grain.max(1);
+        Self { dd, domains, scratch: Default::default(), conv: Default::default() }
     }
 
     /// Creates a manager whose operation cache starts with `capacity`
@@ -132,14 +93,7 @@ impl MddManager {
         assert!(domains.iter().all(|&d| d >= 1), "every domain must have at least one value");
         let arities = domains.iter().map(|&d| d as u32).collect();
         let dd = DdKernel::with_cache_capacity(arities, capacity, max_capacity);
-        Self {
-            dd,
-            domains,
-            scratch: Default::default(),
-            conv: Default::default(),
-            compile_threads: 1,
-            par_grain: DEFAULT_PAR_GRAIN,
-        }
+        Self { dd, domains, scratch: Default::default(), conv: Default::default() }
     }
 
     /// The FALSE terminal.
@@ -301,8 +255,7 @@ impl MddManager {
     }
 
     /// Arms (or, with `None`, disarms) the kernel's resource governor:
-    /// every subsequent node materialisation — sequential or through a
-    /// parallel section — reports to it. See
+    /// every subsequent node materialisation reports to it. See
     /// [`DdKernel::set_governor`](socy_dd::DdKernel::set_governor).
     pub fn set_governor(&mut self, governor: Option<socy_dd::Governor>) {
         self.dd.set_governor(governor);

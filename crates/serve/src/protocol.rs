@@ -181,11 +181,6 @@ pub struct GovernorBody {
 /// [`soc_yield_core::CompileOptions`].
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct OptionsBody {
-    /// Worker threads inside each compilation.
-    pub compile_threads: usize,
-    /// Sequential-grain cutoff of the parallel compile sections
-    /// (`0` = manager default).
-    pub compile_grain: usize,
     /// Whether compilations use complemented edges in the ROBDD kernel.
     pub complement_edges: bool,
     /// Pinned op-cache capacity in slots (`0` = manager default).
@@ -195,8 +190,6 @@ pub struct OptionsBody {
 impl From<soc_yield_core::CompileOptions> for OptionsBody {
     fn from(options: soc_yield_core::CompileOptions) -> Self {
         Self {
-            compile_threads: options.compile_threads(),
-            compile_grain: options.compile_grain(),
             complement_edges: options.complement_edges(),
             op_cache_capacity: options.op_cache_capacity(),
         }

@@ -4,15 +4,14 @@
 //! serves both a function and its negation, `not()` becomes an O(1) bit
 //! flip, and the coded ROBDD shrinks — but every quantity the paper
 //! reports (yields, error bounds, truncations, ROMDD node counts) must
-//! be bit-identical with the feature on or off, under sequential and
-//! parallel compilation alike. These tests sweep the same matrix in
-//! both modes and compare the results field by field.
+//! be bit-identical with the feature on or off, at every sweep thread
+//! count. These tests sweep the same matrix in both modes and compare
+//! the results field by field.
 //!
 //! The CI check matrix runs the suite under `SOCY_TEST_COMPLEMENT ∈
-//! {0, 1}` (mirroring `SOCY_TEST_THREADS` / `SOCY_TEST_COMPILE_THREADS`);
-//! the env var selects which mode the *other* integration suites
-//! exercise where they honor it, while this file always compares the
-//! two modes directly.
+//! {0, 1}` (mirroring `SOCY_TEST_THREADS`); the env var selects which
+//! mode the *other* integration suites exercise where they honor it,
+//! while this file always compares the two modes directly.
 
 use proptest::prelude::*;
 
@@ -33,10 +32,9 @@ fn benchmark(system: &soc_yield::benchmarks::BenchmarkSystem) -> SystemSpec {
 
 /// The benchmark matrix both modes run: two systems, two orderings
 /// (static and sifted), both conversion algorithms, two ε rules.
-fn matrix(complement_edges: bool, compile_threads: usize) -> SweepMatrix {
+fn matrix(complement_edges: bool) -> SweepMatrix {
     let mut m = SweepMatrix::new();
-    m.options =
-        m.options.with_complement_edges(complement_edges).with_compile_threads(compile_threads);
+    m.options = m.options.with_complement_edges(complement_edges);
     let mut block = SweepBlock::new();
     block.systems.push(benchmark(&esen(4, 1)));
     block.systems.push(benchmark(&ms(2)));
@@ -102,23 +100,22 @@ fn assert_complement_invariant(plain: &SweepOutcome, complemented: &SweepOutcome
 
 #[test]
 fn yields_are_bit_identical_with_and_without_complement_edges() {
-    let plain = matrix(false, 1).run(2);
-    let complemented = matrix(true, 1).run(2);
-    assert_complement_invariant(&plain, &complemented, "sequential compile");
+    let plain = matrix(false).run(2);
+    let complemented = matrix(true).run(2);
+    assert_complement_invariant(&plain, &complemented, "two sweep workers");
 }
 
 #[test]
-fn complement_equivalence_holds_under_parallel_compilation() {
-    // The paper-anchors CI job gates `--compile-threads 4` in both
-    // modes; this is the in-tree version of that check, plus CI's
-    // `SOCY_TEST_COMPLEMENT`-selected mode against the sequential
-    // plain-edge reference.
-    let reference = matrix(false, 1).run(2);
-    let complemented = matrix(true, 4).run(2);
-    assert_complement_invariant(&reference, &complemented, "compile-threads 4");
-    // Parallel plain-edge compilation must agree with sequential
-    // plain-edge compilation on results too (same field set).
-    let plain_parallel = matrix(false, 4).run(2);
+fn complement_equivalence_holds_across_sweep_thread_counts() {
+    // The complemented sweep on four workers against the plain-edge
+    // reference on one: neither the representation nor the worker count
+    // may move a result.
+    let reference = matrix(false).run(1);
+    let complemented = matrix(true).run(4);
+    assert_complement_invariant(&reference, &complemented, "1 vs 4 sweep workers");
+    // The plain-edge sweep agrees with itself across worker counts on
+    // the ROBDD side too (same field set).
+    let plain_parallel = matrix(false).run(4);
     for (s, p) in reference.points.iter().zip(&plain_parallel.points) {
         let (s, p) = match (&s.result, &p.result) {
             (Ok(s), Ok(p)) => (s, p),
@@ -138,8 +135,8 @@ fn env_complement() -> bool {
 
 #[test]
 fn env_selected_mode_matches_the_plain_sequential_reference() {
-    let reference = matrix(false, 1).run(2);
-    let env_mode = matrix(env_complement(), 1).run(2);
+    let reference = matrix(false).run(2);
+    let env_mode = matrix(env_complement()).run(2);
     for (s, p) in reference.points.iter().zip(&env_mode.points) {
         let (s, p) = match (&s.result, &p.result) {
             (Ok(s), Ok(p)) => (s, p),

@@ -6,8 +6,7 @@
 //! assert the cleanup contract of `socy_dd::govern`: the manager
 //! survives the abort, garbage collection reports no leaked nodes, and
 //! an immediate recompile on the surviving manager is bit-identical to
-//! an undisturbed build — across compile-thread counts and both
-//! complement-edge modes.
+//! an undisturbed build — in both complement-edge modes.
 //!
 //! The ladder tests drive [`Pipeline::evaluate_governed`] through every
 //! rung of a [`DegradeLadder`] by measuring, per option set, the minimal
@@ -66,9 +65,8 @@ fn arb_fault_tree(max_components: usize) -> impl Strategy<Value = (Netlist, usiz
     })
 }
 
-fn manager(levels: usize, compile_threads: usize, complement: bool) -> BddManager {
+fn manager(levels: usize, complement: bool) -> BddManager {
     let mut mgr = BddManager::new(levels);
-    mgr.set_compile_threads(compile_threads);
     mgr.set_complement(complement);
     mgr
 }
@@ -84,21 +82,19 @@ proptest! {
     fn aborted_builds_leave_the_manager_consistent_and_recompilable(
         (netlist, c) in arb_fault_tree(6),
         cut in any::<u64>(),
-        four_threads in any::<bool>(),
         complement in any::<bool>(),
     ) {
-        let threads = if four_threads { 4 } else { 1 };
         let order: Vec<usize> = (0..c).collect();
         let probs: Vec<f64> = (0..c).map(|i| (i as f64 + 1.0) / (c as f64 + 2.0)).collect();
 
         // Reference: an undisturbed build on a fresh manager.
-        let mut reference = manager(c, threads, complement);
+        let mut reference = manager(c, complement);
         let ref_build = reference.build_netlist(&netlist, &order);
         let ref_prob = reference.probability(ref_build.root, &probs);
 
         // Meter the build with a pure counting governor (all limits zero
         // never trip) to learn how many materialisations it costs.
-        let mut counting = manager(c, threads, complement);
+        let mut counting = manager(c, complement);
         let meter = Governor::new(GovernorLimits::default(), None);
         counting.set_governor(Some(meter.clone()));
         let _ = counting.build_netlist(&netlist, &order);
@@ -108,7 +104,7 @@ proptest! {
         // Victim: the same build with a fail point at a random 1..=total
         // materialisation.
         let fail_after = 1 + cut % total;
-        let mut victim = manager(c, threads, complement);
+        let mut victim = manager(c, complement);
         let baseline_live = victim.stats().live_nodes;
         let governor =
             Governor::new(GovernorLimits { fail_after, ..GovernorLimits::default() }, None);
@@ -116,49 +112,36 @@ proptest! {
         let aborted =
             catch_governed(Some(&governor), || victim.build_netlist(&netlist, &order));
 
-        match aborted {
-            // Parallel builds may materialise fewer nodes than the
-            // metered run (session shards deduplicate differently), so a
-            // late fail point can let the build finish; it must then
-            // equal the reference.
-            Ok(build) => {
-                prop_assert_eq!(build.size, ref_build.size);
-                prop_assert_eq!(
-                    victim.probability(build.root, &probs).to_bits(),
-                    ref_prob.to_bits()
-                );
-            }
-            Err(err) => {
-                prop_assert_eq!(
-                    err,
-                    DdError::BudgetExceeded { budget: fail_after, allocated: fail_after },
-                    "fail point must trip as a budget error at exactly its count"
-                );
-                // Cleanup contract: disarm, collect, and nothing leaks.
-                victim.set_governor(None);
-                let gc = victim.gc();
-                prop_assert_eq!(
-                    gc.live_nodes, baseline_live,
-                    "aborted build must leave no live nodes behind"
-                );
-                // Immediate recompile on the survivor is bit-identical.
-                let rebuilt = victim.build_netlist(&netlist, &order);
-                prop_assert_eq!(rebuilt.size, ref_build.size);
-                for row in 0..(1u32 << c) {
-                    let a: Vec<bool> = (0..c).map(|i| (row >> i) & 1 == 1).collect();
-                    prop_assert_eq!(
-                        victim.eval(rebuilt.root, &a),
-                        reference.eval(ref_build.root, &a),
-                        "assignment {:?}", a
-                    );
-                }
-                prop_assert_eq!(
-                    victim.probability(rebuilt.root, &probs).to_bits(),
-                    ref_prob.to_bits(),
-                    "recompiled probability must be bit-identical"
-                );
-            }
+        // The build is deterministic, so it materialises exactly the
+        // metered count and the fail point always trips.
+        prop_assert_eq!(
+            aborted.err(),
+            Some(DdError::BudgetExceeded { budget: fail_after, allocated: fail_after }),
+            "fail point must trip as a budget error at exactly its count"
+        );
+        // Cleanup contract: disarm, collect, and nothing leaks.
+        victim.set_governor(None);
+        let gc = victim.gc();
+        prop_assert_eq!(
+            gc.live_nodes, baseline_live,
+            "aborted build must leave no live nodes behind"
+        );
+        // Immediate recompile on the survivor is bit-identical.
+        let rebuilt = victim.build_netlist(&netlist, &order);
+        prop_assert_eq!(rebuilt.size, ref_build.size);
+        for row in 0..(1u32 << c) {
+            let a: Vec<bool> = (0..c).map(|i| (row >> i) & 1 == 1).collect();
+            prop_assert_eq!(
+                victim.eval(rebuilt.root, &a),
+                reference.eval(ref_build.root, &a),
+                "assignment {:?}", a
+            );
         }
+        prop_assert_eq!(
+            victim.probability(rebuilt.root, &probs).to_bits(),
+            ref_prob.to_bits(),
+            "recompiled probability must be bit-identical"
+        );
     }
 
     /// The same contract end to end through the yield pipeline: an
@@ -169,17 +152,13 @@ proptest! {
     fn aborted_pipeline_evaluations_recover_bit_identically(
         (netlist, c) in arb_fault_tree(5),
         cut in 1u64..400,
-        four_threads in any::<bool>(),
         complement in any::<bool>(),
     ) {
-        let threads = if four_threads { 4 } else { 1 };
         let weights: Vec<f64> = (0..c).map(|i| 1.0 + i as f64).collect();
         let components = ComponentProbabilities::from_weights(&weights, 1.0).unwrap();
         let lethal = NegativeBinomial::new(1.0, 4.0).unwrap();
         let analysis = AnalysisOptions::default();
-        let kernel = CompileOptions::new()
-            .with_compile_threads(threads)
-            .with_complement_edges(complement);
+        let kernel = CompileOptions::new().with_complement_edges(complement);
 
         let mut reference =
             Pipeline::with_options(&netlist, &components, kernel).unwrap();

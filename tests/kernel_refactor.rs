@@ -10,7 +10,9 @@
 use soc_yield::benchmarks::{esen, ms};
 use soc_yield::defect::NegativeBinomial;
 use soc_yield::ordering::{GroupOrdering, MvOrdering};
-use soc_yield::{analyze, analyze_direct, AnalysisOptions, OrderingSpec, Pipeline, SweepPoint};
+use soc_yield::{
+    analyze, analyze_direct, AnalysisOptions, CompileOptions, OrderingSpec, Pipeline, SweepPoint,
+};
 
 struct Anchor {
     lambda: f64,
@@ -37,7 +39,7 @@ fn check_anchor(system: &soc_yield::benchmarks::BenchmarkSystem, anchor: &Anchor
     for (complement, report) in [
         (false, {
             let mut pipeline = Pipeline::new(&system.fault_tree, &comps).unwrap();
-            pipeline.set_complement_edges(false);
+            pipeline.set_options(CompileOptions::new().with_complement_edges(false));
             pipeline.evaluate(&lethal, &options).unwrap()
         }),
         (true, analysis.report.clone()),

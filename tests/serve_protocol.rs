@@ -232,16 +232,19 @@ fn stats_responses_echo_the_active_compile_options() {
     let mut service = YieldService::new(ServiceConfig {
         threads,
         options: socy_serve::CompileOptions::new()
-            .with_compile_threads(2)
+            .with_op_cache_capacity(1 << 12)
             .with_complement_edges(false),
         ..ServiceConfig::default()
     });
     let stats = service.handle_line(r#"{"type":"stats","id":"o"}"#);
     assert!(stats.ok);
     let line = stats.to_json_line();
-    assert!(line.contains(r#""options":{"#), "{line}");
-    assert!(line.contains(r#""compile_threads":2"#), "{line}");
-    assert!(line.contains(r#""complement_edges":false"#), "{line}");
+    // The whole echo: compilation is sequential, so no compile-thread or
+    // grain knob stands next to the two representation knobs.
+    assert!(
+        line.contains(r#""options":{"complement_edges":false,"op_cache_capacity":4096}"#),
+        "{line}"
+    );
 }
 
 #[test]
