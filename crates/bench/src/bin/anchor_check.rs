@@ -1,9 +1,9 @@
 //! CI gate for the paper anchors and the perf-smoke sweep: compares a
 //! freshly produced JSON dump against its pinned fixture under
 //! `tests/fixtures/`, ignoring only the volatile wall-clock/environment
-//! fields (`seconds`, `*_seconds`, `threads` and the `*complement_hits`
-//! tallies). Any drift in node counts, peaks, truncations, cache
-//! statistics or yields — or a field present on only one side — fails
+//! fields (`seconds`, `*_seconds` and `threads`). Any drift in node
+//! counts, peaks, truncations, cache statistics or yields — or a field
+//! present on only one side — fails
 //! the build with a per-field report; missing or malformed files fail
 //! with a readable message instead of a panic.
 //!

@@ -7,10 +7,11 @@
 //!
 //! [`Pipeline`] is the reusable form of the same computation for
 //! design-space studies: it compiles the fault tree / coded ROBDD /
-//! ROMDD once per `(ordering, conversion)` configuration and then
+//! ROMDD once per `(ordering, conversion)` configuration, freezes the
+//! ROMDD into a flat evaluation plan ([`socy_mdd::FrozenMdd`]) and then
 //! [`sweep`](Pipeline::sweep)s over defect distributions and `ε` values
-//! by re-evaluating probabilities on the compiled diagram — a traversal
-//! linear in the ROMDD size instead of a full recompilation per point.
+//! by re-evaluating probabilities on that plan — one forward pass linear
+//! in the ROMDD size instead of a full recompilation per point.
 //!
 //! [`analyze_direct`] is an alternative pipeline that skips the coded
 //! ROBDD and builds the ROMDD directly with multiple-valued operations; it
@@ -20,20 +21,20 @@
 
 use std::time::{Duration, Instant};
 
-use socy_bdd::BddManager;
+use socy_bdd::{BddId, BddManager};
 use socy_dd::{
     catch_governed, CancelToken, CompileOptions, DdError, DdStats, Governor, SiftConfig,
 };
 use socy_defect::truncation::{select_truncation, truncate_at, Truncation};
 use socy_defect::{ComponentProbabilities, DefectDistribution};
 use socy_faulttree::Netlist;
-use socy_mdd::{MddId, MddManager};
+use socy_mdd::{FrozenMdd, MddId, MddManager};
 use socy_ordering::{compute_ordering, ComputedOrdering, OrderingSpec};
 use socy_sim::{MonteCarloYield, SimError, SimulationOptions};
 
 use crate::degrade::{DegradeLadder, Fidelity};
 use crate::delta::SystemDelta;
-use crate::encode::GeneralizedFaultTree;
+use crate::encode::{probability_vectors, GeneralizedFaultTree};
 use crate::error::CoreError;
 
 /// Maps a Monte-Carlo setup error onto the equivalent [`CoreError`]
@@ -123,7 +124,10 @@ pub struct YieldReport {
     /// Kernel statistics of the ROBDD manager that compiled `G`
     /// (zeros for [`analyze_direct`], which never builds a coded ROBDD).
     pub robdd_stats: DdStats,
-    /// Kernel statistics of the ROMDD manager.
+    /// Kernel statistics of the ROMDD manager, as they stood when the
+    /// conversion finished. A [`Pipeline`] releases the manager once it
+    /// has frozen the diagram into its evaluation plan, so this is a
+    /// compile-time snapshot; evaluation never changes these counts.
     pub romdd_stats: DdStats,
     /// Ordering specification that was used.
     pub spec: OrderingSpec,
@@ -177,10 +181,12 @@ struct RetainedRobdd {
 }
 
 /// One compiled configuration: the generalized fault tree, its ordering
-/// and the converted ROMDD, plus the metrics of the ROBDD manager that
-/// produced it. The ROBDD manager itself is normally dropped after the
-/// conversion (freeing the typically much larger ROBDD arena), unless it
-/// was retained for incremental delta recompilation.
+/// and the converted ROMDD frozen into its evaluation plan, plus the
+/// metrics of the two managers that produced it. Neither manager is
+/// normally kept: the ROBDD manager is dropped after the conversion
+/// (freeing the typically much larger ROBDD arena) unless it was retained
+/// for incremental delta recompilation, and the ROMDD manager once the
+/// plan is frozen.
 #[derive(Debug)]
 struct CompiledModel {
     spec: OrderingSpec,
@@ -188,8 +194,9 @@ struct CompiledModel {
     truncation: usize,
     g: GeneralizedFaultTree,
     ordering: ComputedOrdering,
-    mdd: MddManager,
-    romdd_root: MddId,
+    plan: FrozenMdd,
+    /// Statistics of the ROMDD manager the plan was frozen from.
+    romdd_stats: DdStats,
     coded_robdd_size: usize,
     presift_robdd_size: Option<usize>,
     robdd_peak: usize,
@@ -217,6 +224,31 @@ fn new_mdd_manager(domains: Vec<usize>, options: &CompileOptions) -> MddManager 
     }
 }
 
+/// Converts the coded ROBDD `root` of `g` into a fresh ROMDD manager.
+/// The governor, if any, is armed on that manager for the conversion
+/// only. Returns the manager, the ROMDD root and the conversion time.
+fn convert(
+    g: &GeneralizedFaultTree,
+    ordering: &ComputedOrdering,
+    bdd: &BddManager,
+    root: BddId,
+    conversion: ConversionAlgorithm,
+    options: &CompileOptions,
+    governor: Option<&Governor>,
+) -> (MddManager, MddId, Duration) {
+    let layout = g.layout(ordering);
+    let start = Instant::now();
+    let mut mdd = new_mdd_manager(g.mdd_domains(ordering), options);
+    mdd.set_governor(governor.cloned());
+    let romdd_root = match conversion {
+        ConversionAlgorithm::TopDown => mdd.from_coded_bdd(bdd, root, &layout),
+        ConversionAlgorithm::Layered => mdd.from_coded_bdd_layered(bdd, root, &layout),
+    };
+    let conversion_time = start.elapsed();
+    mdd.set_governor(None);
+    (mdd, romdd_root, conversion_time)
+}
+
 impl CompiledModel {
     /// Compiles one configuration under the resource limits of
     /// `options`: a governor (when any limit is set, or a cancellation
@@ -226,6 +258,10 @@ impl CompiledModel {
     /// half-built managers are local to this call and dropped, so the
     /// caller observes no state change — an immediate retry compiles
     /// bit-identically to an undisturbed run.
+    ///
+    /// The model holds the ROMDD frozen into its evaluation plan; the
+    /// ROMDD manager and root are returned beside it, for a caller that
+    /// wants to inspect the diagram. A [`Pipeline`] drops them at once.
     fn compile(
         fault_tree: &Netlist,
         truncation: usize,
@@ -234,7 +270,7 @@ impl CompiledModel {
         options: &CompileOptions,
         retain_robdd: bool,
         cancel: Option<&CancelToken>,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<(Self, MddManager, MddId), CoreError> {
         let governor = Governor::from_options(options, cancel.cloned());
         match catch_governed(governor.as_ref(), || {
             Self::compile_inner(
@@ -260,7 +296,7 @@ impl CompiledModel {
         options: &CompileOptions,
         retain_robdd: bool,
         governor: Option<&Governor>,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<(Self, MddManager, MddId), CoreError> {
         let g = GeneralizedFaultTree::build(fault_tree, truncation)?;
         let mut ordering = compute_ordering(g.netlist(), g.groups(), &spec)?;
 
@@ -298,40 +334,32 @@ impl CompiledModel {
         }
         let robdd_time = robdd_start.elapsed();
 
-        // ROMDD conversion. Unless retained for incremental delta
-        // recompilation, the ROBDD manager is dropped at the end of this
-        // function: only its metrics survive, freeing the (typically much
-        // larger) ROBDD arena for the rest of the sweep.
-        let layout = g.layout(&ordering);
-        let conversion_start = Instant::now();
-        let mut mdd = new_mdd_manager(g.mdd_domains(&ordering), options);
-        mdd.set_governor(governor.cloned());
-        let romdd_root = match conversion {
-            ConversionAlgorithm::TopDown => mdd.from_coded_bdd(&bdd, build.root, &layout),
-            ConversionAlgorithm::Layered => mdd.from_coded_bdd_layered(&bdd, build.root, &layout),
-        };
-        let conversion_time = conversion_start.elapsed();
+        let (mdd, romdd_root, conversion_time) =
+            convert(&g, &ordering, &bdd, build.root, conversion, options, governor);
 
         // The compile completed within its limits: disarm before the
-        // managers outlive this governed run (a retained manager must
-        // not carry a spent budget into later delta rebuilds).
+        // manager outlives this governed run (a retained manager must not
+        // carry a spent budget into later delta rebuilds).
         bdd.set_governor(None);
-        mdd.set_governor(None);
-
         let robdd_stats = bdd.stats();
+        // Unless retained for incremental delta recompilation, the ROBDD
+        // manager is released before the plan is frozen, so the (typically
+        // much larger) ROBDD arena and the plan are never resident
+        // together.
         let retained = if retain_robdd {
             let root = bdd.protect(build.root);
             Some(RetainedRobdd { bdd, _root: root })
         } else {
+            drop(bdd);
             None
         };
-        Ok(Self {
+        let model = Self {
             spec,
             conversion,
             truncation,
             ordering,
-            mdd,
-            romdd_root,
+            plan: mdd.freeze(romdd_root),
+            romdd_stats: mdd.stats(),
             coded_robdd_size: build.size,
             presift_robdd_size,
             robdd_peak: build.peak,
@@ -340,10 +368,13 @@ impl CompiledModel {
             conversion_time,
             g,
             retained,
-        })
+        };
+        Ok((model, mdd, romdd_root))
     }
 
-    /// Evaluates the compiled diagram for one `(distribution, ε)` point.
+    /// Evaluates the compiled diagram for one `(distribution, ε)` point,
+    /// returning the report and the per-level probability vectors it was
+    /// evaluated under.
     ///
     /// The requested truncation may be smaller than the compiled one: the
     /// `w` distribution is zero-padded, which makes the extra defect
@@ -355,24 +386,9 @@ impl CompiledModel {
         components: &ComponentProbabilities,
         start: Instant,
     ) -> (YieldReport, Vec<Vec<f64>>) {
-        let mut w_dist = truncation.masses().to_vec();
-        w_dist.resize(self.truncation + 1, 0.0);
-        w_dist.push(truncation.error_bound());
-        let probabilities: Vec<Vec<f64>> = self
-            .ordering
-            .mv_order
-            .iter()
-            .map(
-                |&mv| {
-                    if mv == 0 {
-                        w_dist.clone()
-                    } else {
-                        components.conditional_slice().to_vec()
-                    }
-                },
-            )
-            .collect();
-        let p_g = self.mdd.probability(self.romdd_root, &probabilities);
+        let probabilities =
+            probability_vectors(self.truncation, &self.ordering.mv_order, truncation, components);
+        let p_g = self.plan.probability(&probabilities);
         let report = YieldReport {
             yield_lower_bound: 1.0 - p_g,
             error_bound: truncation.error_bound(),
@@ -384,9 +400,9 @@ impl CompiledModel {
             coded_robdd_size: self.coded_robdd_size,
             presift_robdd_size: self.presift_robdd_size,
             robdd_peak: self.robdd_peak,
-            romdd_size: self.mdd.node_count(self.romdd_root),
+            romdd_size: self.plan.node_count(),
             robdd_stats: self.robdd_stats,
-            romdd_stats: self.mdd.stats(),
+            romdd_stats: self.romdd_stats,
             spec: self.spec,
             robdd_time: self.robdd_time,
             conversion_time: self.conversion_time,
@@ -401,9 +417,10 @@ impl CompiledModel {
     /// manager, where hash-consing and the retained op cache make every
     /// subfunction shared with the base an O(1) hit — only the swapped
     /// cofactor pays apply/ITE work. The rebuilt coded ROBDD is then
-    /// converted into a fresh ROMDD and evaluated, which reproduces a
-    /// from-scratch compile of the variant bit for bit (same canonical
-    /// diagram, same per-node float operations).
+    /// converted into a fresh ROMDD, frozen and evaluated like any
+    /// compiled model, which reproduces a from-scratch compile of the
+    /// variant bit for bit (same canonical diagram, same per-node float
+    /// operations).
     ///
     /// Returns `Ok(None)` when the incremental path cannot be taken
     /// soundly and the caller must fall back to a full fresh compile:
@@ -442,24 +459,19 @@ impl CompiledModel {
             let robdd_start = Instant::now();
             let build = retained.bdd.build_netlist(g.netlist(), &ordering.var_level);
             let robdd_time = robdd_start.elapsed();
-
-            let layout = g.layout(&ordering);
-            let conversion_start = Instant::now();
-            let mut mdd = new_mdd_manager(g.mdd_domains(&ordering), options);
-            mdd.set_governor(governor.clone());
-            let romdd_root = match conversion {
-                ConversionAlgorithm::TopDown => {
-                    mdd.from_coded_bdd(&retained.bdd, build.root, &layout)
-                }
-                ConversionAlgorithm::Layered => {
-                    mdd.from_coded_bdd_layered(&retained.bdd, build.root, &layout)
-                }
-            };
-            mdd.set_governor(None);
-            (build, robdd_time, mdd, romdd_root, conversion_start.elapsed())
+            let converted = convert(
+                &g,
+                &ordering,
+                &retained.bdd,
+                build.root,
+                conversion,
+                options,
+                governor.as_ref(),
+            );
+            (build, robdd_time, converted)
         });
         retained.bdd.set_governor(None);
-        let (build, robdd_time, mut mdd, romdd_root, conversion_time) = match outcome {
+        let (build, robdd_time, (mdd, romdd_root, conversion_time)) = match outcome {
             Ok(parts) => parts,
             Err(trip) => {
                 // The aborted rebuild left garbage in the retained
@@ -472,43 +484,23 @@ impl CompiledModel {
             }
         };
 
-        let mut w_dist = truncation.masses().to_vec();
-        w_dist.resize(self.truncation + 1, 0.0);
-        w_dist.push(truncation.error_bound());
-        let probabilities: Vec<Vec<f64>> = ordering
-            .mv_order
-            .iter()
-            .map(
-                |&mv| {
-                    if mv == 0 {
-                        w_dist.clone()
-                    } else {
-                        components.conditional_slice().to_vec()
-                    }
-                },
-            )
-            .collect();
-        let p_g = mdd.probability(romdd_root, &probabilities);
-        Ok(Some(YieldReport {
-            yield_lower_bound: 1.0 - p_g,
-            error_bound: truncation.error_bound(),
-            truncation: truncation.truncation(),
-            compiled_truncation: self.truncation,
-            num_components: g.num_components(),
-            g_gates: g.netlist().num_gates(),
-            binary_variables: g.netlist().num_inputs(),
+        let mut variant_model = CompiledModel {
+            spec: self.spec,
+            conversion,
+            truncation: self.truncation,
+            g,
+            ordering,
+            plan: mdd.freeze(romdd_root),
+            romdd_stats: mdd.stats(),
             coded_robdd_size: build.size,
             presift_robdd_size: None,
             robdd_peak: build.peak,
-            romdd_size: mdd.node_count(romdd_root),
             robdd_stats: retained.bdd.stats(),
-            romdd_stats: mdd.stats(),
-            spec: self.spec,
             robdd_time,
             conversion_time,
-            total_time: start.elapsed(),
-            fidelity: Fidelity::Exact,
-        }))
+            retained: None,
+        };
+        Ok(Some(variant_model.evaluate(truncation, components, start).0))
     }
 }
 
@@ -538,6 +530,13 @@ impl std::fmt::Debug for SweepPoint<'_> {
 /// plus one linear-time probability evaluation per point — instead of
 /// the full truncate/encode/order/compile/convert chain per point that
 /// repeated [`analyze`] calls pay.
+///
+/// Each compiled ROMDD is kept only as a [`FrozenMdd`]: a flat,
+/// level-major evaluation plan whose evaluation is one forward loop,
+/// bit-identical to the manager's depth-first traversal. The ROMDD
+/// manager is released once the plan is frozen; its statistics survive
+/// as a snapshot ([`YieldReport::romdd_stats`],
+/// [`Pipeline::live_nodes`]).
 ///
 /// # Example
 ///
@@ -600,13 +599,7 @@ impl Pipeline {
         fault_tree: &Netlist,
         components: &ComponentProbabilities,
     ) -> Result<Self, CoreError> {
-        fault_tree.output()?;
-        if fault_tree.num_inputs() != components.len() {
-            return Err(CoreError::ComponentCountMismatch {
-                fault_tree: fault_tree.num_inputs(),
-                components: components.len(),
-            });
-        }
+        check_system(fault_tree, components)?;
         Ok(Self {
             fault_tree: fault_tree.clone(),
             components: components.clone(),
@@ -684,28 +677,18 @@ impl Pipeline {
         self.compiles
     }
 
-    /// Live (post-GC) ROMDD nodes across all compiled models — the
-    /// steady-state memory cost of keeping this pipeline resident, as
-    /// opposed to the transient `peak_nodes` high-water mark. Cache
-    /// eviction budgets are charged against this.
+    /// Live (post-GC) ROMDD nodes across all compiled models, as their
+    /// managers counted them when each compile finished — the
+    /// steady-state size of keeping this pipeline resident, as opposed
+    /// to the transient `peak_nodes` high-water mark. Cache eviction
+    /// budgets are charged against this.
     pub fn live_nodes(&self) -> usize {
-        self.models.iter().map(|m| m.mdd.stats().live_nodes).sum()
+        self.models.iter().map(|m| m.romdd_stats.live_nodes).sum()
     }
 
     /// Drops all compiled diagrams, releasing their memory.
     pub fn clear(&mut self) {
         self.models.clear();
-    }
-
-    fn truncation_for(
-        &self,
-        lethal: &dyn DefectDistribution,
-        options: &AnalysisOptions,
-    ) -> Result<Truncation, CoreError> {
-        Ok(match options.fixed_truncation {
-            Some(m) => truncate_at(lethal, m)?,
-            None => select_truncation(lethal, options.epsilon)?,
-        })
     }
 
     /// Index of a model usable for truncation `m` under `(spec,
@@ -737,7 +720,7 @@ impl Pipeline {
             .max()
             .unwrap_or(0)
             .max(m);
-        let model = CompiledModel::compile(
+        let (model, _, _) = CompiledModel::compile(
             &self.fault_tree,
             m,
             spec,
@@ -771,17 +754,6 @@ impl Pipeline {
         self.ensure_model_inner(m, spec, conversion, false)
     }
 
-    fn evaluate_full(
-        &mut self,
-        lethal: &dyn DefectDistribution,
-        options: &AnalysisOptions,
-    ) -> Result<(YieldReport, Vec<Vec<f64>>), CoreError> {
-        let start = Instant::now();
-        let truncation = self.truncation_for(lethal, options)?;
-        let idx = self.ensure_model(truncation.truncation(), options.spec, options.conversion)?;
-        Ok(self.models[idx].evaluate(&truncation, &self.components, start))
-    }
-
     /// Evaluates one `(distribution, options)` point, reusing a compiled
     /// diagram when one covers the required truncation.
     ///
@@ -794,7 +766,10 @@ impl Pipeline {
         lethal: &dyn DefectDistribution,
         options: &AnalysisOptions,
     ) -> Result<YieldReport, CoreError> {
-        self.evaluate_full(lethal, options).map(|(report, _)| report)
+        let start = Instant::now();
+        let truncation = truncation_for(lethal, options)?;
+        let idx = self.ensure_model(truncation.truncation(), options.spec, options.conversion)?;
+        Ok(self.models[idx].evaluate(&truncation, &self.components, start).0)
     }
 
     /// Evaluates every point of a design-space sweep with artifact reuse:
@@ -813,7 +788,7 @@ impl Pipeline {
         let points: Vec<SweepPoint<'a>> = points.into_iter().collect();
         let mut truncations = Vec::with_capacity(points.len());
         for point in &points {
-            truncations.push(self.truncation_for(point.lethal, &point.options)?);
+            truncations.push(truncation_for(point.lethal, &point.options)?);
         }
         // Compile each configuration once, at the largest truncation it needs.
         let mut maxima: Vec<(OrderingSpec, ConversionAlgorithm, usize)> = Vec::new();
@@ -926,7 +901,7 @@ impl Pipeline {
         options: &AnalysisOptions,
         deltas: &[SystemDelta],
     ) -> Result<Vec<YieldReport>, CoreError> {
-        let truncation = self.truncation_for(lethal, options)?;
+        let truncation = truncation_for(lethal, options)?;
         // Retaining the base ROBDD manager only pays off when a
         // structural delta can actually use it (sifted bases never can).
         let needs_retained =
@@ -961,7 +936,7 @@ impl Pipeline {
             // Unsound to recompile incrementally: compile the variant
             // from scratch. The variant model is deliberately not cached
             // in `models` — it describes a different system.
-            let mut model = CompiledModel::compile(
+            let (mut model, _, _) = CompiledModel::compile(
                 &variant,
                 truncation.truncation(),
                 options.spec,
@@ -1094,9 +1069,11 @@ impl Pipeline {
 /// [`socy_defect::lethal::thin_empirical`] to obtain it from a raw defect
 /// distribution).
 ///
-/// This is a one-shot convenience over [`Pipeline`]; design-space studies
-/// evaluating several `(distribution, ε, ordering)` points should build a
-/// [`Pipeline`] and [`sweep`](Pipeline::sweep) it instead.
+/// This is the one-shot form of a [`Pipeline`] evaluation — the same
+/// compile, evaluated through the same frozen plan — that also hands back
+/// the ROMDD manager; design-space studies evaluating several
+/// `(distribution, ε, ordering)` points should build a [`Pipeline`] and
+/// [`sweep`](Pipeline::sweep) it instead.
 ///
 /// # Errors
 ///
@@ -1109,17 +1086,55 @@ pub fn analyze(
     lethal: &dyn DefectDistribution,
     options: &AnalysisOptions,
 ) -> Result<YieldAnalysis, CoreError> {
-    let mut pipeline = Pipeline::new(fault_tree, components)?;
-    let (report, probabilities) = pipeline.evaluate_full(lethal, options)?;
-    let model = pipeline.models.pop().expect("exactly one model was compiled");
+    let start = Instant::now();
+    check_system(fault_tree, components)?;
+    let truncation = truncation_for(lethal, options)?;
+    let (mut model, mdd, romdd_root) = CompiledModel::compile(
+        fault_tree,
+        truncation.truncation(),
+        options.spec,
+        options.conversion,
+        &CompileOptions::default(),
+        false,
+        None,
+    )?;
+    let (report, probabilities) = model.evaluate(&truncation, components, start);
     let mv_names = model.g.mv_names(&model.ordering);
     Ok(YieldAnalysis {
         report,
-        mdd: model.mdd,
-        romdd_root: model.romdd_root,
+        mdd,
+        romdd_root,
         probabilities,
         mv_order: model.ordering.mv_order,
         mv_names,
+    })
+}
+
+/// Checks that `fault_tree` has a designated output and one input per
+/// component of `components`.
+fn check_system(
+    fault_tree: &Netlist,
+    components: &ComponentProbabilities,
+) -> Result<(), CoreError> {
+    fault_tree.output()?;
+    if fault_tree.num_inputs() != components.len() {
+        return Err(CoreError::ComponentCountMismatch {
+            fault_tree: fault_tree.num_inputs(),
+            components: components.len(),
+        });
+    }
+    Ok(())
+}
+
+/// The truncation a point is evaluated at: `options.fixed_truncation`
+/// when set, otherwise the smallest `M` meeting `options.epsilon`.
+fn truncation_for(
+    lethal: &dyn DefectDistribution,
+    options: &AnalysisOptions,
+) -> Result<Truncation, CoreError> {
+    Ok(match options.fixed_truncation {
+        Some(m) => truncate_at(lethal, m)?,
+        None => select_truncation(lethal, options.epsilon)?,
     })
 }
 
@@ -1129,17 +1144,8 @@ fn prepare(
     lethal: &dyn DefectDistribution,
     options: &AnalysisOptions,
 ) -> Result<(GeneralizedFaultTree, ComputedOrdering, Truncation), CoreError> {
-    fault_tree.output()?;
-    if fault_tree.num_inputs() != components.len() {
-        return Err(CoreError::ComponentCountMismatch {
-            fault_tree: fault_tree.num_inputs(),
-            components: components.len(),
-        });
-    }
-    let truncation = match options.fixed_truncation {
-        Some(m) => truncate_at(lethal, m)?,
-        None => select_truncation(lethal, options.epsilon)?,
-    };
+    check_system(fault_tree, components)?;
+    let truncation = truncation_for(lethal, options)?;
     let g = GeneralizedFaultTree::build(fault_tree, truncation.truncation())?;
     let ordering = compute_ordering(g.netlist(), g.groups(), &options.spec)?;
     Ok((g, ordering, truncation))
@@ -1192,6 +1198,9 @@ pub fn analyze_direct(
     let romdd_root = mdd.or(clamp, f_root);
     let conversion_time = conversion_start.elapsed();
 
+    // Evaluated with the reference traversal rather than a frozen plan, so
+    // that cross-checking this engine against `analyze` also checks the
+    // plan against the traversal.
     let probabilities = g.probability_vectors(&ordering, &truncation, components);
     let p_g = mdd.probability(romdd_root, &probabilities);
     let report = YieldReport {

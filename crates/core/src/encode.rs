@@ -195,24 +195,15 @@ impl GeneralizedFaultTree {
     /// The per-level value distributions of the multiple-valued random
     /// variables, in the diagram order prescribed by `ordering`:
     /// the `w` level receives `(Q'_0, …, Q'_M, 1 − ΣQ'_k)` and every `v_l`
-    /// level receives the conditional component probabilities `P'_i`.
+    /// level receives the conditional component probabilities `P'_i`
+    /// (see [`probability_vectors`]).
     pub fn probability_vectors(
         &self,
         ordering: &ComputedOrdering,
         truncation: &Truncation,
         components: &ComponentProbabilities,
     ) -> Vec<Vec<f64>> {
-        ordering
-            .mv_order
-            .iter()
-            .map(|&mv| {
-                if mv == 0 {
-                    truncation.w_distribution()
-                } else {
-                    components.conditional_slice().to_vec()
-                }
-            })
-            .collect()
+        probability_vectors(self.truncation, &ordering.mv_order, truncation, components)
     }
 
     /// Human-readable names of the multiple-valued variables in diagram
@@ -224,6 +215,40 @@ impl GeneralizedFaultTree {
             .map(|&mv| if mv == 0 { "w".to_string() } else { format!("v{mv}") })
             .collect()
     }
+}
+
+/// The per-level value distributions of a diagram of `G` compiled at
+/// truncation `compiled_m` with multiple-valued order `mv_order`
+/// (0 = `w`), evaluated at `truncation`.
+///
+/// The `w` level receives `(Q'_0, …, Q'_M)` zero-padded to the compiled
+/// domain, then the error-bound mass `1 − ΣQ'_k` on the clamp value
+/// `compiled_m + 1`. A diagram compiled at `compiled_m` thereby answers
+/// every truncation `M ≤ compiled_m`: the padded defect counts carry
+/// probability 0. Every `v_l` level receives the conditional component
+/// probabilities `P'_i`.
+///
+/// # Panics
+///
+/// Panics if `truncation` is deeper than `compiled_m`.
+pub fn probability_vectors(
+    compiled_m: usize,
+    mv_order: &[usize],
+    truncation: &Truncation,
+    components: &ComponentProbabilities,
+) -> Vec<Vec<f64>> {
+    assert!(
+        truncation.truncation() <= compiled_m,
+        "truncation {} exceeds the compiled truncation {compiled_m}",
+        truncation.truncation()
+    );
+    let mut w = truncation.masses().to_vec();
+    w.resize(compiled_m + 1, 0.0);
+    w.push(truncation.error_bound());
+    mv_order
+        .iter()
+        .map(|&mv| if mv == 0 { w.clone() } else { components.conditional_slice().to_vec() })
+        .collect()
 }
 
 /// Reference (non-BDD) evaluation of `G` directly from its definition,

@@ -617,8 +617,10 @@ impl DdKernel {
     ///
     /// The traversal is iterative (explicit stack) and memoizes into a
     /// dense epoch-stamped scratch array owned by the kernel, so repeated
-    /// evaluations — a design-space sweep re-weighting one compiled
-    /// diagram thousands of times — allocate nothing per call.
+    /// evaluations allocate nothing per call. It evaluates ROBDDs, and it
+    /// is the reference the ROMDD engine's frozen level-major plan
+    /// (`socy_mdd::FrozenMdd`) is tested against; the analysis pipeline
+    /// re-weights compiled ROMDDs through that plan instead.
     pub fn probability<W: Fn(usize, usize) -> f64>(&mut self, root: u32, weight: W) -> f64 {
         if root == ONE {
             return 1.0;

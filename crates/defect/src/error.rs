@@ -19,6 +19,13 @@ pub enum DefectError {
         /// Value that was supplied.
         value: f64,
     },
+    /// The error requirement `ε` was outside the open interval `(0, 1)`:
+    /// `ε = 0` is unreachable by any finite truncation and `ε ≥ 1`
+    /// requires nothing.
+    InvalidEpsilon {
+        /// Value that was supplied.
+        value: f64,
+    },
     /// A probability vector was empty.
     EmptyDistribution,
     /// The probabilities of an empirical distribution do not (approximately)
@@ -47,6 +54,12 @@ impl fmt::Display for DefectError {
             }
             DefectError::InvalidProbability { name, value } => {
                 write!(f, "parameter `{name}` must lie in [0, 1], got {value}")
+            }
+            DefectError::InvalidEpsilon { value } => {
+                write!(
+                    f,
+                    "error requirement `epsilon` must lie in the open interval (0, 1), got {value}"
+                )
             }
             DefectError::EmptyDistribution => write!(f, "empirical distribution has no entries"),
             DefectError::InvalidMass { total } => {

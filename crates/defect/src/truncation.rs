@@ -64,7 +64,7 @@ impl Truncation {
 ///
 /// Returns [`DefectError::TruncationNotReached`] if even
 /// [`DEFAULT_MAX_TRUNCATION`] lethal defects do not accumulate mass
-/// `1 − ε`, and [`DefectError::InvalidProbability`] if `epsilon` is not in
+/// `1 − ε`, and [`DefectError::InvalidEpsilon`] if `epsilon` is not in
 /// `(0, 1)`.
 pub fn select_truncation<D: DefectDistribution + ?Sized>(
     lethal: &D,
@@ -84,7 +84,7 @@ pub fn select_truncation_capped<D: DefectDistribution + ?Sized>(
     max_truncation: usize,
 ) -> Result<Truncation, DefectError> {
     if !(epsilon.is_finite() && epsilon > 0.0 && epsilon < 1.0) {
-        return Err(DefectError::InvalidProbability { name: "epsilon", value: epsilon });
+        return Err(DefectError::InvalidEpsilon { value: epsilon });
     }
     let mut masses = Vec::new();
     let mut acc = 0.0;
@@ -165,9 +165,21 @@ mod tests {
     #[test]
     fn invalid_epsilon() {
         let d = Poisson::new(1.0).unwrap();
-        assert!(select_truncation(&d, 0.0).is_err());
-        assert!(select_truncation(&d, 1.0).is_err());
-        assert!(select_truncation(&d, f64::NAN).is_err());
+        for epsilon in [0.0, 1.0, f64::NAN] {
+            let err = select_truncation(&d, epsilon).unwrap_err();
+            assert!(
+                matches!(err, DefectError::InvalidEpsilon { value } if value.to_bits() == epsilon.to_bits()),
+                "ε = {epsilon}: {err:?}"
+            );
+            let message = err.to_string();
+            assert!(message.contains("epsilon"), "{message}");
+            assert!(message.contains("open interval (0, 1)"), "{message}");
+            assert!(!message.contains("[0, 1]"), "{message}");
+        }
+        assert_eq!(
+            select_truncation(&d, 0.0).unwrap_err().to_string(),
+            "error requirement `epsilon` must lie in the open interval (0, 1), got 0"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! Charging the budget against [`Pipeline::live_nodes`] — not the
 //! `peak_nodes` high-water mark — is deliberate: peaks measure transient
 //! compilation pressure that has already been garbage-collected, so
-//! evicting on peaks would punish long-lived managers for history rather
-//! than for the memory they actually hold.
+//! evicting on peaks would punish resident pipelines for their compile
+//! history rather than for the diagrams they actually keep.
 
 use soc_yield_core::Pipeline;
 

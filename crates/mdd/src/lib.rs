@@ -18,7 +18,9 @@
 //!   boolean operations ([`MddManager::and`], [`MddManager::or`],
 //!   [`MddManager::not`]) and evaluation;
 //! * probability evaluation under independent multiple-valued variables
-//!   ([`MddManager::probability`]), the paper's depth-first computation;
+//!   ([`MddManager::probability`]), the paper's depth-first computation,
+//!   and a frozen level-major plan for repeated evaluation
+//!   ([`MddManager::freeze`] → [`FrozenMdd`]);
 //! * conversion of a *coded ROBDD* (binary-encoded, with bit groups kept
 //!   contiguous and ordered like the multiple-valued variables) into the
 //!   ROMDD, in two independent implementations: a top-down memoized
@@ -53,10 +55,12 @@ pub mod prob;
 
 pub use coded::{CodedLayout, MvVarLayout};
 pub use manager::{MddId, MddManager};
+pub use prob::FrozenMdd;
 
 // Each parallel sweep worker (socy-exec) owns private managers; assert
 // the thread bounds the executor relies on (see socy-dd for rationale).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MddManager>();
+    assert_send_sync::<FrozenMdd>();
 };

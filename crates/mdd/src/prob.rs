@@ -5,6 +5,11 @@
 //! multiple-valued random variables, a single depth-first traversal
 //! computes `P(G = 1)` — exactly the procedure illustrated with the
 //! paper's Figure 2 example.
+//!
+//! [`MddManager::probability`] runs that traversal on the live manager.
+//! A diagram evaluated many times is better [frozen](MddManager::freeze)
+//! into a [`FrozenMdd`] first: a flat, level-major plan whose evaluation
+//! is one forward loop, bit-identical to the traversal.
 
 use crate::manager::{MddId, MddManager};
 
@@ -16,6 +21,10 @@ impl MddManager {
     /// Every `probabilities[l]` must have exactly `domain(l)` entries and
     /// (for a meaningful result) sum to 1; levels skipped by the diagram
     /// then contribute a factor of 1 automatically.
+    ///
+    /// This memoized depth-first traversal is the reference
+    /// implementation: [`FrozenMdd::probability`], which the analysis
+    /// pipeline evaluates with, is tested against it bit for bit.
     ///
     /// # Panics
     ///
@@ -32,6 +41,144 @@ impl MddManager {
             );
             dist[value]
         })
+    }
+
+    /// Freezes the diagram rooted at `f` into a [`FrozenMdd`]: an
+    /// evaluation plan that no longer needs this manager.
+    ///
+    /// One reachable walk numbers the nodes level-major, deepest level
+    /// first, after the two terminals (slot 0 is FALSE, slot 1 TRUE).
+    /// Every edge points to a strictly deeper level, so this numbering is
+    /// topological: each node's children get smaller slots than the node
+    /// itself.
+    pub fn freeze(&self, f: MddId) -> FrozenMdd {
+        // The multiple-valued kernel never turns complemented edges on,
+        // so every stored child id is a plain node id.
+        debug_assert!(!self.dd.complement_enabled());
+        let reachable = self.dd.reachable(f.0);
+        let num_levels = self.domains.len();
+        let mut per_level = vec![0usize; num_levels];
+        for &id in &reachable {
+            if let Some(level) = self.dd.level(id) {
+                per_level[level] += 1;
+            }
+        }
+        // Counting sort by level: the first slot of every level.
+        let mut next_slot = vec![0usize; num_levels];
+        let mut slots = 2;
+        for level in (0..num_levels).rev() {
+            next_slot[level] = slots;
+            slots += per_level[level];
+        }
+        let mut slot_of = vec![0u32; self.dd.allocated_nodes()];
+        slot_of[socy_dd::ONE as usize] = 1;
+        let mut node_at = vec![0u32; slots];
+        for &id in &reachable {
+            if let Some(level) = self.dd.level(id) {
+                slot_of[id as usize] = next_slot[level] as u32;
+                node_at[next_slot[level]] = id;
+                next_slot[level] += 1;
+            }
+        }
+        let blocks = (0..num_levels)
+            .rev()
+            .filter(|&level| per_level[level] > 0)
+            .map(|level| LevelBlock { level, arity: self.domains[level], nodes: per_level[level] })
+            .collect();
+        let children = node_at[2..]
+            .iter()
+            .flat_map(|&id| self.dd.children(id).iter().map(|&c| slot_of[c as usize]))
+            .collect();
+        let mut values = vec![0.0; slots];
+        values[1] = 1.0;
+        FrozenMdd {
+            blocks,
+            children,
+            root: slot_of[f.0 as usize],
+            node_count: reachable.len(),
+            values,
+        }
+    }
+}
+
+/// The nodes of one level of a [`FrozenMdd`]: `nodes` consecutive slots,
+/// each with `arity` consecutive entries in the child-slot array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LevelBlock {
+    level: usize,
+    arity: usize,
+    nodes: usize,
+}
+
+/// A read-only ROMDD laid out for repeated probability evaluation,
+/// created by [`MddManager::freeze`].
+///
+/// The nodes sit level-major, deepest level first, after the two
+/// terminal slots, and their children are one flat array of slots in the
+/// same order. [`FrozenMdd::probability`] is therefore a single forward
+/// loop: every child's value is final before its parents read it, so
+/// there is no stack, no visited stamp and no memo lookup.
+#[derive(Debug, Clone)]
+pub struct FrozenMdd {
+    /// Populated levels, deepest first.
+    blocks: Vec<LevelBlock>,
+    /// Child slots of every non-terminal node, in slot order.
+    children: Vec<u32>,
+    /// Slot of the root (0 or 1 when the root is a terminal).
+    root: u32,
+    /// Nodes reachable from the root, terminals included.
+    node_count: usize,
+    /// Value of every slot, reused across evaluations; slots 0 and 1 hold
+    /// the terminals' constant 0 and 1.
+    values: Vec<f64>,
+}
+
+impl FrozenMdd {
+    /// Number of nodes reachable from the root, including terminals —
+    /// the same count as [`MddManager::node_count`] on the manager the
+    /// plan was frozen from.
+    pub fn node_count(&self) -> usize {
+        self.node_count
+    }
+
+    /// Probability that the frozen function evaluates to 1 under the
+    /// per-level distributions `probabilities`, with the contract of
+    /// [`MddManager::probability`].
+    ///
+    /// Each node sums `weight × child value` over its children in domain
+    /// order, exactly like the reference traversal. The traversal skips
+    /// zero-weight branches and this loop does not, but with finite,
+    /// non-negative weights a skipped term is `+0.0 × v = +0.0`, and
+    /// adding `+0.0` to a sum that starts at `+0.0` changes no bit. The
+    /// two implementations therefore agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probabilities` is shorter than a level appearing in the
+    /// diagram or an entry has the wrong arity.
+    pub fn probability(&mut self, probabilities: &[Vec<f64>]) -> f64 {
+        let mut slot = 2;
+        let mut edges = self.children.as_slice();
+        for block in &self.blocks {
+            let dist = probabilities[block.level].as_slice();
+            assert_eq!(
+                dist.len(),
+                block.arity,
+                "probability vector arity mismatch at level {}",
+                block.level
+            );
+            let (level_edges, rest) = edges.split_at(block.nodes * block.arity);
+            edges = rest;
+            for node in level_edges.chunks_exact(block.arity) {
+                let mut p = 0.0;
+                for (&w, &child) in dist.iter().zip(node) {
+                    p += w * self.values[child as usize];
+                }
+                self.values[slot] = p;
+                slot += 1;
+            }
+        }
+        self.values[self.root as usize]
     }
 }
 
@@ -144,5 +291,34 @@ mod tests {
             }
         }
         assert!((p_g - expect).abs() < 1e-12, "got {p_g}, expected {expect}");
+    }
+
+    #[test]
+    fn frozen_plan_matches_the_traversal_bit_for_bit() {
+        let mut mgr = MddManager::new(vec![3, 2, 4]);
+        let a = mgr.value_is(0, 2);
+        let b = mgr.value_is(1, 1);
+        let c = mgr.value_at_least(2, 3);
+        let ab = mgr.and(a, b);
+        let f = mgr.or(ab, c);
+        let mut plan = mgr.freeze(f);
+        assert_eq!(plan.node_count(), mgr.node_count(f));
+        for dist in [
+            vec![vec![0.5, 0.25, 0.25], vec![0.9, 0.1], vec![0.4, 0.3, 0.2, 0.1]],
+            // Zero weights: the traversal skips these branches, the plan adds +0.0.
+            vec![vec![0.0, 0.7, 0.3], vec![1.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]],
+        ] {
+            let reference = mgr.probability(f, &dist);
+            assert_eq!(plan.probability(&dist).to_bits(), reference.to_bits());
+            assert_eq!(plan.probability(&dist).to_bits(), reference.to_bits(), "reused values");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch at level 0")]
+    fn frozen_plan_checks_arity() {
+        let mut mgr = MddManager::new(vec![3]);
+        let f = mgr.value_is(0, 1);
+        mgr.freeze(f).probability(&[vec![0.5, 0.5]]);
     }
 }
