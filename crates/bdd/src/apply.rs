@@ -12,7 +12,7 @@
 //! churn per recursion.
 
 use crate::manager::{BddId, BddManager, TERMINAL_LEVEL};
-use socy_dd::{is_complemented, negate, negate_if, strip, DdKernel, ONE, ZERO};
+use socy_dd::{DdKernel, ONE, ZERO};
 
 /// Operation tags used as keys in the kernel's operation cache.
 pub(crate) const OP_AND: u8 = 0;
@@ -59,11 +59,6 @@ enum Frame {
         top: u32,
         high: u32,
     },
-    /// Complemented-edge mode only: negates the result on top of the
-    /// stack. Pushed *below* the frames computing a normalised
-    /// subproblem whose answer is the complement of the requested one
-    /// (XOR parity stripping, ITE with a complemented then-branch).
-    Negate,
 }
 
 /// Outcome of trying to resolve a binary subproblem without a frame.
@@ -72,7 +67,7 @@ enum Immediate {
     Resolved(u32),
     /// Genuinely new subproblem (cache already probed): expand it.
     Expand,
-    /// Needs the full `Eval` treatment (XOR's NOT redirections).
+    /// Needs the full `Eval` treatment (XOR's redirection to NOT).
     Defer,
 }
 
@@ -85,13 +80,8 @@ pub(crate) struct ApplyScratch {
 }
 
 impl BddManager {
-    /// Logical negation. With complemented edges (the default) this is
-    /// O(1): it flips the complement bit of the edge without touching a
-    /// single node.
+    /// Logical negation.
     pub fn not(&mut self, f: BddId) -> BddId {
-        if self.dd.complement_enabled() {
-            return BddId(negate(f.0));
-        }
         self.apply_root(OP_NOT, f.0, f.0, 0)
     }
 
@@ -258,10 +248,6 @@ fn run_apply(dd: &mut DdKernel, scratch: &mut ApplyScratch, op: u8, a: u32, b: u
                 dd.cache_insert((op, a, b, 0), r);
                 scratch.results.push(r);
             }
-            Frame::Negate => {
-                let r = scratch.results.pop().expect("negate operand result");
-                scratch.results.push(negate(r));
-            }
         }
     }
     let result = scratch.results.pop().expect("the root frame pushed a result");
@@ -270,29 +256,8 @@ fn run_apply(dd: &mut DdKernel, scratch: &mut ApplyScratch, op: u8, a: u32, b: u
 }
 
 /// One `Eval` step: terminal rules, cache probe, or expansion.
-///
-/// In complemented-edge mode the step additionally applies the standard
-/// negation normalizations before keying the cache: `x ⊕ ¬y = ¬(x ⊕ y)`
-/// (keys carry the plain pair plus an output complement),
-/// `ite(¬f, g, h) = ite(f, h, g)` and `ite(f, ¬g, ¬h) = ¬ite(f, g, h)`.
-/// Every normalization is gated on [`DdKernel::complement_enabled`], so
-/// complement-off runs take byte-identical paths to the pre-complement
-/// machine.
-fn eval_step(
-    dd: &mut DdKernel,
-    op: u8,
-    mut a: u32,
-    mut b: u32,
-    mut c: u32,
-    scratch: &mut ApplyScratch,
-) {
+fn eval_step(dd: &mut DdKernel, op: u8, a: u32, b: u32, c: u32, scratch: &mut ApplyScratch) {
     if op == OP_NOT {
-        if dd.complement_enabled() {
-            // O(1); only reachable through legacy callers — the public
-            // entry points negate edges directly in complement mode.
-            scratch.results.push(negate(a));
-            return;
-        }
         if a == ZERO {
             scratch.results.push(ONE);
             return;
@@ -322,12 +287,6 @@ fn eval_step(
             scratch.results.push(c);
             return;
         }
-        let cpl = dd.complement_enabled();
-        if cpl && is_complemented(a) {
-            // ite(¬f, g, h) = ite(f, h, g): keep the predicate regular.
-            a = negate(a);
-            std::mem::swap(&mut b, &mut c);
-        }
         if b == c {
             scratch.results.push(b);
             return;
@@ -336,23 +295,8 @@ fn eval_step(
             scratch.results.push(a);
             return;
         }
-        if cpl && b == ZERO && c == ONE {
-            scratch.results.push(negate(a));
-            return;
-        }
-        let mut neg = false;
-        if cpl && is_complemented(b) {
-            // ite(f, ¬g, ¬h) = ¬ite(f, g, h): one canonical cache entry
-            // serves both output parities.
-            b = negate(b);
-            c = negate(c);
-            neg = true;
-        }
         if let Some(r) = dd.cache_get((OP_ITE, a, b, c)) {
-            if neg {
-                dd.note_complement_hit();
-            }
-            scratch.results.push(negate_if(neg, r));
+            scratch.results.push(r);
             return;
         }
         let top = dd.raw_level(a).min(dd.raw_level(b)).min(dd.raw_level(c));
@@ -360,9 +304,6 @@ fn eval_step(
         let (f0, f1) = cofactors_at(dd, a, top);
         let (g0, g1) = cofactors_at(dd, b, top);
         let (h0, h1) = cofactors_at(dd, c, top);
-        if neg {
-            scratch.frames.push(Frame::Negate);
-        }
         scratch.frames.push(Frame::Combine { op, a, b, c, top });
         scratch.frames.push(Frame::Eval { op, a: f1, b: g1, c: h1 });
         scratch.frames.push(Frame::Eval { op, a: f0, b: g0, c: h0 });
@@ -387,11 +328,6 @@ fn eval_step(
                 scratch.results.push(a);
                 return;
             }
-            if dd.complement_enabled() && a == negate(b) {
-                // f ∧ ¬f = 0.
-                scratch.results.push(ZERO);
-                return;
-            }
         }
         OP_OR => {
             if a == ONE || b == ONE {
@@ -410,11 +346,6 @@ fn eval_step(
                 scratch.results.push(a);
                 return;
             }
-            if dd.complement_enabled() && a == negate(b) {
-                // f ∨ ¬f = 1.
-                scratch.results.push(ONE);
-                return;
-            }
         }
         OP_XOR => {
             if a == ZERO {
@@ -429,48 +360,14 @@ fn eval_step(
                 scratch.results.push(ZERO);
                 return;
             }
-            if dd.complement_enabled() {
-                if a == negate(b) {
-                    scratch.results.push(ONE);
-                    return;
-                }
-                if a == ONE {
-                    scratch.results.push(negate(b));
-                    return;
-                }
-                if b == ONE {
-                    scratch.results.push(negate(a));
-                    return;
-                }
-                if is_complemented(a) || is_complemented(b) {
-                    // x ⊕ ¬y = ¬(x ⊕ y): key on the plain pair and
-                    // complement the output when the parities differ.
-                    let neg = is_complemented(a) ^ is_complemented(b);
-                    let (sa, sb) = (strip(a), strip(b));
-                    let (x, y) = if sa <= sb { (sa, sb) } else { (sb, sa) };
-                    if let Some(r) = dd.cache_get((op, x, y, 0)) {
-                        if neg {
-                            dd.note_complement_hit();
-                        }
-                        scratch.results.push(negate_if(neg, r));
-                        return;
-                    }
-                    if neg {
-                        scratch.frames.push(Frame::Negate);
-                    }
-                    scratch.frames.push(Frame::Expand { op, a: x, b: y });
-                    return;
-                }
-            } else {
-                if a == ONE {
-                    // ¬g, evaluated by the same machine.
-                    scratch.frames.push(Frame::Eval { op: OP_NOT, a: b, b, c: 0 });
-                    return;
-                }
-                if b == ONE {
-                    scratch.frames.push(Frame::Eval { op: OP_NOT, a, b: a, c: 0 });
-                    return;
-                }
+            if a == ONE {
+                // ¬g, evaluated by the same machine.
+                scratch.frames.push(Frame::Eval { op: OP_NOT, a: b, b, c: 0 });
+                return;
+            }
+            if b == ONE {
+                scratch.frames.push(Frame::Eval { op: OP_NOT, a, b: a, c: 0 });
+                return;
             }
         }
         _ => unreachable!("unknown binary op"),
@@ -550,9 +447,6 @@ fn immediate_binary(dd: &mut DdKernel, op: u8, a: u32, b: u32) -> Immediate {
             if b == ONE || a == b {
                 return Immediate::Resolved(a);
             }
-            if dd.complement_enabled() && a == negate(b) {
-                return Immediate::Resolved(ZERO);
-            }
         }
         OP_OR => {
             if a == ONE || b == ONE {
@@ -563,9 +457,6 @@ fn immediate_binary(dd: &mut DdKernel, op: u8, a: u32, b: u32) -> Immediate {
             }
             if b == ZERO || a == b {
                 return Immediate::Resolved(a);
-            }
-            if dd.complement_enabled() && a == negate(b) {
-                return Immediate::Resolved(ONE);
             }
         }
         OP_XOR => {
@@ -578,34 +469,7 @@ fn immediate_binary(dd: &mut DdKernel, op: u8, a: u32, b: u32) -> Immediate {
             if a == b {
                 return Immediate::Resolved(ZERO);
             }
-            if dd.complement_enabled() {
-                if a == negate(b) {
-                    return Immediate::Resolved(ONE);
-                }
-                if a == ONE {
-                    return Immediate::Resolved(negate(b));
-                }
-                if b == ONE {
-                    return Immediate::Resolved(negate(a));
-                }
-                if is_complemented(a) || is_complemented(b) {
-                    // Probe under the parity-stripped key; a miss defers
-                    // to `eval_step`, which redoes this normalization and
-                    // queues the complementing frame.
-                    let neg = is_complemented(a) ^ is_complemented(b);
-                    let (sa, sb) = (strip(a), strip(b));
-                    let (x, y) = if sa <= sb { (sa, sb) } else { (sb, sa) };
-                    return match dd.cache_get((op, x, y, 0)) {
-                        Some(r) => {
-                            if neg {
-                                dd.note_complement_hit();
-                            }
-                            Immediate::Resolved(negate_if(neg, r))
-                        }
-                        None => Immediate::Defer,
-                    };
-                }
-            } else if a == ONE || b == ONE {
+            if a == ONE || b == ONE {
                 // Redirects to NOT: needs the full Eval treatment.
                 return Immediate::Defer;
             }

@@ -8,12 +8,9 @@ impl BddManager {
     /// Renders the BDD rooted at `f` in Graphviz DOT syntax.
     ///
     /// Dashed edges are low (variable = 0) edges, solid edges are high
-    /// (variable = 1) edges. With complemented edges enabled, a
-    /// complemented low edge is drawn with an `odot` arrowhead (the CUDD
-    /// convention); the rendered graph is the *physical* diagram, so a
-    /// complemented root `f` renders the nodes of `¬f`. `var_names`
-    /// optionally maps levels to human-readable names; levels without a
-    /// name are rendered as `x<level>`.
+    /// (variable = 1) edges. `var_names` optionally maps levels to
+    /// human-readable names; levels without a name are rendered as
+    /// `x<level>`.
     pub fn to_dot(&self, f: BddId, var_names: Option<&[String]>) -> String {
         let mut dot = DotWriter::new("robdd");
         for id in self.reachable(f) {
@@ -23,11 +20,7 @@ impl BddManager {
             let level = self.level(id).expect("non-terminal");
             let (low, high) = (self.low(id), self.high(id));
             dot.node(id.0, &level_label(var_names, level));
-            if socy_dd::is_complemented(low.0) {
-                dot.edge(id.0, socy_dd::strip(low.0), Some("style=dashed,arrowhead=odot"));
-            } else {
-                dot.edge(id.0, low.0, Some("style=dashed"));
-            }
+            dot.edge(id.0, low.0, Some("style=dashed"));
             dot.edge(id.0, high.0, None);
         }
         dot.finish()

@@ -72,61 +72,23 @@ pub struct BddManager {
 impl BddManager {
     /// Creates a manager over `num_levels` boolean variable levels.
     ///
-    /// Complemented edges are **enabled** by default (negation becomes
-    /// O(1) and a function shares every node with its complement); call
-    /// [`BddManager::set_complement`] before building anything to opt
-    /// out.
+    /// Every edge is plain: a node id denotes exactly the function of
+    /// that node, and negation ([`BddManager::not`]) builds the negated
+    /// diagram through the memoized apply machine.
     pub fn new(num_levels: usize) -> Self {
-        let mut dd = DdKernel::new(vec![2; num_levels]);
-        dd.set_complement(true);
-        Self { dd, scratch: Default::default() }
+        Self { dd: DdKernel::new(vec![2; num_levels]), scratch: Default::default() }
     }
 
     /// Creates a manager whose operation cache starts with `capacity`
     /// slots and may grow up to `max_capacity` (both rounded to powers of
     /// two; equal bounds pin the size). The cache is lossy, so any
     /// capacity — even 1 — produces identical diagrams; smaller caches
-    /// only recompute more. Complemented edges default to enabled, as in
-    /// [`BddManager::new`].
+    /// only recompute more.
     pub fn with_cache_capacity(num_levels: usize, capacity: usize, max_capacity: usize) -> Self {
-        let mut dd = DdKernel::with_cache_capacity(vec![2; num_levels], capacity, max_capacity);
-        dd.set_complement(true);
-        Self { dd, scratch: Default::default() }
-    }
-
-    /// Enables or disables complemented-edge mode. Must be called before
-    /// any node is created (the kernel panics otherwise): mixing plain
-    /// and complemented canonical forms in one arena would break
-    /// canonicity.
-    pub fn set_complement(&mut self, on: bool) {
-        self.dd.set_complement(on);
-    }
-
-    /// Whether this manager uses complemented edges.
-    pub fn complement_enabled(&self) -> bool {
-        self.dd.complement_enabled()
-    }
-
-    /// Verifies the complemented-edge canonical form over the whole
-    /// arena: with complement mode on, no stored node may carry a
-    /// complemented **or ZERO** high (then) edge — exactly one of `f` and
-    /// `¬f` has a regular top edge, which is what makes edges canonical.
-    /// With complement mode off, no stored edge may carry the complement
-    /// bit at all. Returns `true` when the invariant holds (test/debug
-    /// helper; cost is linear in the arena).
-    pub fn check_complement_invariant(&self) -> bool {
-        let cpl = self.dd.complement_enabled();
-        (2..self.dd.allocated_nodes() as u32).all(|id| {
-            let children = self.dd.children(id);
-            if children.is_empty() {
-                return true; // only terminals are childless, and they sit at ids 0 and 1
-            }
-            if cpl {
-                !socy_dd::is_complemented(children[1]) && children[1] != socy_dd::ZERO
-            } else {
-                children.iter().all(|&c| !socy_dd::is_complemented(c))
-            }
-        })
+        Self {
+            dd: DdKernel::with_cache_capacity(vec![2; num_levels], capacity, max_capacity),
+            scratch: Default::default(),
+        }
     }
 
     /// The FALSE terminal.

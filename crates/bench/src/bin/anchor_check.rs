@@ -7,24 +7,21 @@
 //! the build with a per-field report; missing or malformed files fail
 //! with a readable message instead of a panic.
 //!
-//! A flag selects a laxer [`DiffPolicy`] (see [`DIFF_POLICY_FLAGS`]):
+//! `--delta-equivalence` selects [`DiffPolicy::DeltaEquivalence`]: it
+//! additionally exempts the ROBDD-side fields, all cache counters and
+//! the execution-shape total `chunks`. An incremental `sweep_deltas` run
+//! compiles a delta family as **one** chunk on a retained base manager,
+//! while the `--scratch-deltas` materialized run compiles one chunk per
+//! variant, yet every reported yield, error bound, truncation and ROMDD
+//! node count must be bit-identical. Any other flag exits 2.
 //!
-//! * `--complement-invariant` additionally exempts the ROBDD-side node
-//!   counts and all cache counters, while yields, error bounds,
-//!   truncations and ROMDD node counts must still match bit-for-bit.
-//!   CI gates a `--no-complement-edges` regeneration against the
-//!   complement-enabled fixture this way, proving the complemented-edge
-//!   toggle a pure representation knob.
-//! * `--delta-equivalence` additionally exempts the execution-shape
-//!   total `chunks`: an incremental `sweep_deltas` run compiles a delta
-//!   family as **one** chunk while the `--scratch-deltas` materialized
-//!   run compiles one chunk per variant, yet every reported yield,
-//!   truncation and ROMDD node count must be bit-identical.
-//!
-//! Usage: `anchor_check [--complement-invariant | --delta-equivalence]
-//! <fixture.json> <actual.json> [...more pairs]`
+//! Usage: `anchor_check [--delta-equivalence] <fixture.json>
+//! <actual.json> [...more pairs]`
 
-use soc_yield_bench::{diff_anchor_values, DiffPolicy, DIFF_POLICY_FLAGS};
+use soc_yield_bench::{diff_anchor_values, DiffPolicy};
+
+const USAGE: &str =
+    "usage: anchor_check [--delta-equivalence] <fixture.json> <actual.json> [...more pairs]";
 
 fn read(path: &str, role: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {role} {path}: {e}"))
@@ -41,23 +38,20 @@ fn check_pair(fixture_path: &str, actual_path: &str, policy: DiffPolicy) -> Resu
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut policy = DiffPolicy::Strict;
-    let mut conflicting = false;
-    args.retain(|arg| {
-        let Some(&(_, selected)) = DIFF_POLICY_FLAGS.iter().find(|(flag, _)| flag == arg) else {
-            return true;
-        };
-        conflicting |= policy != DiffPolicy::Strict && policy != selected;
-        policy = selected;
-        false
-    });
-    if conflicting || args.is_empty() || !args.len().is_multiple_of(2) {
-        let flags: Vec<&str> = DIFF_POLICY_FLAGS.iter().map(|(flag, _)| *flag).collect();
-        eprintln!(
-            "usage: anchor_check [{}] <fixture.json> <actual.json> [...more pairs]",
-            flags.join(" | ")
-        );
+    let mut args = Vec::new();
+    for arg in std::env::args().skip(1) {
+        if arg == "--delta-equivalence" {
+            policy = DiffPolicy::DeltaEquivalence;
+        } else if arg.starts_with("--") {
+            eprintln!("anchor_check: unknown argument `{arg}`\n{USAGE}");
+            std::process::exit(2);
+        } else {
+            args.push(arg);
+        }
+    }
+    if args.is_empty() || !args.len().is_multiple_of(2) {
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     let mut failed = false;

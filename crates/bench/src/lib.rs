@@ -137,10 +137,6 @@ pub struct ResultRow {
     /// ROBDD operation-cache evict rate (evictions per insertion) of the
     /// build, in percent.
     pub robdd_cache_evict_percent: f64,
-    /// ROBDD operation-cache hits obtained through a complemented-edge
-    /// negation normalization (`0` when complemented edges are off).
-    /// Counts cache behaviour, so the anchors treat it as volatile.
-    pub robdd_complement_hits: u64,
     /// Wall-clock seconds of this row's evaluation. For rows produced by
     /// a sweep this **excludes** the compile, which
     /// [`compile_seconds`](ResultRow::compile_seconds) carries; for rows
@@ -175,7 +171,6 @@ impl ResultRow {
             robdd_cache_evictions: report.robdd_stats.op_cache_evictions,
             robdd_cache_hit_percent: report.robdd_stats.op_cache_hit_rate_percent(),
             robdd_cache_evict_percent: report.robdd_stats.op_cache_evict_rate_percent(),
-            robdd_complement_hits: report.robdd_stats.complement_hits,
             seconds: report.total_time.as_secs_f64(),
             compile_seconds: (report.robdd_time + report.conversion_time).as_secs_f64(),
         }
@@ -319,8 +314,8 @@ pub fn run_workload(workload: &Workload, spec: OrderingSpec) -> Result<ResultRow
 /// compilation trips its resource budget (the exploding `vw` / `vrw`
 /// orderings under a pinned `--node-budget`). The bounds depend only on
 /// the fault tree and the defect model, never on the diagrams, so the
-/// row is bit-identical at every thread count and complement mode and
-/// can be pinned as an anchor fixture.
+/// row is bit-identical at every thread count and can be pinned as an
+/// anchor fixture.
 ///
 /// # Errors
 ///
@@ -445,8 +440,8 @@ pub struct CliArgs {
     /// the wall-clock time.
     pub threads: usize,
     /// The shared kernel knobs and resource limits
-    /// (`--no-complement-edges`, `--op-cache-capacity`, `--node-budget`,
-    /// `--deadline-ms`): one [`CompileOptions`] value parsed through
+    /// (`--op-cache-capacity`, `--node-budget`, `--deadline-ms`): one
+    /// [`CompileOptions`] value parsed through
     /// [`CompileOptions::parse_cli_flag`] — the same helper the `serve`
     /// binary uses, so both CLIs expose exactly one flag surface.
     pub options: CompileOptions,
@@ -541,22 +536,9 @@ pub fn parse_cli(default_max: usize) -> CliArgs {
 /// Whether an anchor JSON field is volatile — wall-clock measurements
 /// and execution-environment knobs that legitimately differ from run to
 /// run and machine to machine. Everything else (node counts, peaks,
-/// truncations, cache statistics including `*complement_hits`, yields) is
-/// gated bit-for-bit.
+/// truncations, cache statistics, yields) is gated bit-for-bit.
 pub fn is_volatile_anchor_field(name: &str) -> bool {
     name == "seconds" || name == "threads" || name.ends_with("_seconds")
-}
-
-/// Whether an anchor JSON field legitimately *changes* when complemented
-/// edges are toggled: the ROBDD-side node counts (`robdd_size`,
-/// `robdd_peak`, `robdd_unique_entries`, the `robdd_peak_*` aggregates)
-/// — complemented edges share one node between each function and its
-/// negation, so the physical diagram shrinks — plus every cache counter
-/// (`*_cache_*`; the two modes probe different keys). Everything the
-/// paper reports — yields, error bounds, truncations, ROMDD node counts —
-/// is complement-invariant.
-pub fn is_complement_variant_anchor_field(name: &str) -> bool {
-    name.starts_with("robdd_") || name.contains("_cache_")
 }
 
 /// Field-exemption policy of one anchor comparison.
@@ -566,34 +548,23 @@ pub fn is_complement_variant_anchor_field(name: &str) -> bool {
 pub enum DiffPolicy {
     /// Gate every other field bit-for-bit (the default).
     Strict,
-    /// Exempt the [complement-variant](is_complement_variant_anchor_field)
-    /// fields too, while yields, error bounds, truncations and ROMDD node
-    /// counts stay gated bit-for-bit. CI gates a `--no-complement-edges`
-    /// regeneration against the complement-enabled fixture this way,
-    /// proving the toggle a pure representation knob.
-    ComplementInvariant,
-    /// [`DiffPolicy::ComplementInvariant`] plus the execution-shape field
-    /// `chunks`: a delta family runs as one chunk (on a retained base
-    /// manager, so ROBDD peaks and cache tallies differ too) while its
-    /// from-scratch materialization runs one chunk per variant. CI gates
-    /// a `bench_matrix --scratch-deltas` regeneration against the
-    /// delta-path fixture this way.
+    /// Also exempt the ROBDD-side fields (`robdd_*`: sizes, peaks,
+    /// unique entries and the ROBDD cache tallies), every cache counter
+    /// (`*_cache_*`) and the execution-shape field `chunks`. A delta
+    /// family runs as one chunk on a retained base manager, so its ROBDD
+    /// peaks and cache tallies differ from its from-scratch
+    /// materialization, which runs one chunk per variant. Yields, error
+    /// bounds, truncations and ROMDD node counts stay gated bit-for-bit.
+    /// CI gates a `bench_matrix --scratch-deltas` regeneration against
+    /// the delta-path fixture this way.
     DeltaEquivalence,
 }
-
-/// The `anchor_check` flags and the policies they select. The argument
-/// loop and the usage text both read this table; no flag means
-/// [`DiffPolicy::Strict`].
-pub const DIFF_POLICY_FLAGS: [(&str, DiffPolicy); 2] = [
-    ("--complement-invariant", DiffPolicy::ComplementInvariant),
-    ("--delta-equivalence", DiffPolicy::DeltaEquivalence),
-];
 
 impl DiffPolicy {
     fn exempt(self, name: &str) -> bool {
         is_volatile_anchor_field(name)
-            || (self != DiffPolicy::Strict && is_complement_variant_anchor_field(name))
-            || (self == DiffPolicy::DeltaEquivalence && name == "chunks")
+            || (self == DiffPolicy::DeltaEquivalence
+                && (name.starts_with("robdd_") || name.contains("_cache_") || name == "chunks"))
     }
 }
 
@@ -745,10 +716,6 @@ pub struct BenchSweepPoint {
     /// ROBDD operation-cache evict rate (evictions per insertion) of the
     /// compile, in percent.
     pub robdd_cache_evict_percent: f64,
-    /// ROBDD operation-cache hits obtained through a complemented-edge
-    /// negation normalization (volatile — `0` with complemented edges
-    /// off).
-    pub robdd_complement_hits: u64,
     /// Wall-clock seconds of this point's evaluation (volatile).
     pub seconds: f64,
 }
@@ -778,9 +745,6 @@ pub struct BenchSweepTotals {
     pub robdd_cache_hit_percent: f64,
     /// ROBDD operation-cache evict rate across all compiles, in percent.
     pub robdd_cache_evict_percent: f64,
-    /// ROBDD operation-cache hits obtained through a complemented-edge
-    /// negation normalization across all compiles (volatile).
-    pub robdd_complement_hits: u64,
     /// ROBDD garbage collections across all compiles.
     pub robdd_gc_runs: u64,
     /// ROMDD operation-cache hits across all managers.
@@ -847,7 +811,6 @@ impl BenchSweepDoc {
                     robdd_cache_evictions: report.robdd_stats.op_cache_evictions,
                     robdd_cache_hit_percent: report.robdd_stats.op_cache_hit_rate_percent(),
                     robdd_cache_evict_percent: report.robdd_stats.op_cache_evict_rate_percent(),
-                    robdd_complement_hits: report.robdd_stats.complement_hits,
                     seconds: report.total_time.as_secs_f64(),
                 })
             })
@@ -867,7 +830,6 @@ impl BenchSweepDoc {
                 robdd_cache_evictions: summary.robdd.op_cache_evictions,
                 robdd_cache_hit_percent: summary.robdd.cache_hit_percent(),
                 robdd_cache_evict_percent: summary.robdd.cache_evict_percent(),
-                robdd_complement_hits: summary.robdd.complement_hits,
                 robdd_gc_runs: summary.robdd.gc_runs,
                 romdd_cache_hits: summary.romdd.op_cache_hits,
                 romdd_cache_misses: summary.romdd.op_cache_misses,
@@ -1121,9 +1083,6 @@ mod tests {
         assert!(!is_volatile_anchor_field("yield_lower_bound"));
         assert!(!is_volatile_anchor_field("robdd_peak"));
         assert!(!is_volatile_anchor_field("robdd_cache_hits"));
-        // Compilation is sequential, so the complement tally is
-        // deterministic and pinned like every other cache counter.
-        assert!(!is_volatile_anchor_field("robdd_complement_hits"));
         // Fields of the removed intra-compilation pool are no longer
         // exempt, so a stale fixture carrying them fails the gate.
         assert!(!is_volatile_anchor_field("compile_threads"));
@@ -1140,21 +1099,18 @@ mod tests {
     #[test]
     fn diff_policies_exempt_only_their_fields() {
         let fixture = "{\n  \"chunks\": 9,\n  \"robdd_size\": 9897,\n  \"romdd_cache_hits\": 5,\n  \"romdd_size\": 40\n}";
-        let other_mode = fixture
+        let scratch = fixture
             .replace("9897", "9001")
-            .replace("\"romdd_cache_hits\": 5", "\"romdd_cache_hits\": 7");
-        let other_shape = other_mode.replace("\"chunks\": 9", "\"chunks\": 1");
+            .replace("\"romdd_cache_hits\": 5", "\"romdd_cache_hits\": 7")
+            .replace("\"chunks\": 9", "\"chunks\": 1");
         let count =
             |actual: &str, policy| diff_anchor_values(fixture, actual, policy).unwrap().len();
-        assert_eq!(count(&other_mode, DiffPolicy::Strict), 2);
-        assert_eq!(count(&other_mode, DiffPolicy::ComplementInvariant), 0);
-        assert_eq!(count(&other_shape, DiffPolicy::ComplementInvariant), 1, "chunks stay gated");
-        assert_eq!(count(&other_shape, DiffPolicy::DeltaEquivalence), 0);
+        assert_eq!(count(&scratch, DiffPolicy::Strict), 3);
+        assert_eq!(count(&scratch, DiffPolicy::DeltaEquivalence), 0);
         // Result fields stay gated under every policy.
-        let drifted = other_mode.replace("\"romdd_size\": 40", "\"romdd_size\": 41");
-        for (_, policy) in DIFF_POLICY_FLAGS {
-            assert_eq!(count(&drifted, policy), 1, "{policy:?}");
-        }
+        let drifted = scratch.replace("\"romdd_size\": 40", "\"romdd_size\": 41");
+        assert_eq!(count(&drifted, DiffPolicy::Strict), 4);
+        assert_eq!(count(&drifted, DiffPolicy::DeltaEquivalence), 1);
     }
 
     #[test]
@@ -1174,7 +1130,6 @@ mod tests {
             "--baseline",
             "base.json",
             "--scratch-deltas",
-            "--no-complement-edges",
             "--node-budget",
             "4000000",
         ])
@@ -1184,15 +1139,14 @@ mod tests {
         assert_eq!(full.threads, 2);
         assert_eq!(full.baseline.as_deref(), Some("base.json"));
         assert!(full.scratch_deltas);
-        assert_eq!(
-            full.options,
-            CompileOptions::new().with_complement_edges(false).with_node_budget(4_000_000)
-        );
-        // Unknown flags — including the removed compile-thread knobs —
-        // and missing or malformed values are errors, not warnings.
+        assert_eq!(full.options, CompileOptions::new().with_node_budget(4_000_000));
+        // Unknown flags — including the removed compile-thread and
+        // complemented-edge knobs — and missing or malformed values are
+        // errors, not warnings.
         for (argv, expected) in [
             (&["--bogus"][..], "unknown argument `--bogus`"),
             (&["--compile-threads", "4"][..], "unknown argument `--compile-threads`"),
+            (&["--no-complement-edges"][..], "unknown argument `--no-complement-edges`"),
             (&["--threads", "abc"][..], "--threads requires an integer"),
             (&["--threads"][..], "--threads requires an integer"),
             (&["--max-components", "-1"][..], "--max-components requires an integer"),
@@ -1202,6 +1156,7 @@ mod tests {
             assert_eq!(parse(argv).unwrap_err(), expected, "{argv:?}");
         }
         assert!(cli_usage("table4").starts_with("Usage: table4 "));
+        assert!(cli_usage("table4").contains("\n  --op-cache-capacity N\n"));
         assert!(cli_usage("table4").contains("--node-budget"));
     }
 

@@ -207,14 +207,10 @@ struct CompiledModel {
 }
 
 fn new_bdd_manager(num_levels: usize, options: &CompileOptions) -> BddManager {
-    let mut bdd = match options.op_cache_capacity() {
+    match options.op_cache_capacity() {
         0 => BddManager::new(num_levels),
         cap => BddManager::with_cache_capacity(num_levels, cap, cap),
-    };
-    if !options.complement_edges() {
-        bdd.set_complement(false);
     }
-    bdd
 }
 
 fn new_mdd_manager(domains: Vec<usize>, options: &CompileOptions) -> MddManager {
@@ -627,12 +623,12 @@ impl Pipeline {
         Ok(pipeline)
     }
 
-    /// Sets the kernel knobs (complemented edges, op-cache capacity,
-    /// resource limits) every subsequent compilation runs under. These
-    /// are resource/representation knobs, not analysis options: every
-    /// yield, error bound, truncation and ROMDD node count is
-    /// bit-identical at every setting, so they deliberately live outside
-    /// [`AnalysisOptions`] and never participate in model reuse keys.
+    /// Sets the kernel knobs (op-cache capacity, resource limits) every
+    /// subsequent compilation runs under. These are resource knobs, not
+    /// analysis options: every yield, error bound, truncation and ROMDD
+    /// node count is bit-identical at every setting, so they deliberately
+    /// live outside [`AnalysisOptions`] and never participate in model
+    /// reuse keys.
     pub fn set_options(&mut self, options: CompileOptions) {
         self.options = options;
     }

@@ -11,8 +11,6 @@
 //! for ROBDDs, the domain size for ROMDDs), which is what lets one arena
 //! serve both engines.
 
-use crate::edge::{strip, CPL_BIT};
-
 /// Level used internally for the two terminal nodes (greater than every
 /// variable level, so terminals sort below all variables).
 pub const TERMINAL_LEVEL: u32 = u32::MAX;
@@ -93,17 +91,14 @@ impl NodeArena {
         false
     }
 
-    /// Raw level of a node (`TERMINAL_LEVEL` for terminals). Accepts
-    /// complemented edges: a function and its negation share one
-    /// physical node, hence one level.
+    /// Raw level of a node (`TERMINAL_LEVEL` for terminals).
     pub fn raw_level(&self, id: u32) -> u32 {
-        self.meta[strip(id) as usize].level
+        self.meta[id as usize].level
     }
 
-    /// The level tested by a node, or `None` for terminals. Accepts
-    /// complemented edges.
+    /// The level tested by a node, or `None` for terminals.
     pub fn level(&self, id: u32) -> Option<usize> {
-        let l = self.meta[strip(id) as usize].level;
+        let l = self.meta[id as usize].level;
         if l == TERMINAL_LEVEL {
             None
         } else {
@@ -111,10 +106,9 @@ impl NodeArena {
         }
     }
 
-    /// The *stored* children of a node (empty for terminals) — the raw
-    /// edge values, without applying any complement parity of `id`.
+    /// The children of a node (empty for terminals).
     pub fn children(&self, id: u32) -> &[u32] {
-        let meta = &self.meta[strip(id) as usize];
+        let meta = &self.meta[id as usize];
         if meta.level == TERMINAL_LEVEL {
             return &[];
         }
@@ -217,25 +211,25 @@ impl NodeArena {
                     for (slot, &child) in
                         new_meta.inline[..width].iter_mut().zip(&self.meta[old].inline[..width])
                     {
-                        let new_child = remap[strip(child) as usize];
+                        let new_child = remap[child as usize];
                         debug_assert_ne!(
                             new_child,
                             u32::MAX,
                             "live set must be closed under children"
                         );
-                        *slot = new_child | (child & CPL_BIT);
+                        *slot = new_child;
                     }
                 } else {
                     new_meta.edge_offset = edges.len() as u32;
                     let start = self.meta[old].edge_offset as usize;
                     for &child in &self.edges[start..start + width] {
-                        let new_child = remap[strip(child) as usize];
+                        let new_child = remap[child as usize];
                         debug_assert_ne!(
                             new_child,
                             u32::MAX,
                             "live set must be closed under children"
                         );
-                        edges.push(new_child | (child & CPL_BIT));
+                        edges.push(new_child);
                     }
                 }
             }

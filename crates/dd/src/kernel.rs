@@ -4,7 +4,6 @@
 
 use crate::arena::{NodeArena, TERMINAL_LEVEL};
 use crate::cache::{OpCache, OpKey, OpTagStats, NUM_OP_TAGS};
-use crate::edge::{is_complemented, negate, negate_if, strip, CPL_BIT};
 use crate::govern::Governor;
 use crate::unique::UniqueTable;
 
@@ -44,10 +43,10 @@ pub struct DdStats {
     pub gc_runs: u64,
     /// Total nodes reclaimed across all collections.
     pub gc_reclaimed: u64,
-    /// Operation-cache hits obtained through complemented-edge negation
-    /// normalization (the memoized result answered the negated form of
-    /// the query and was flipped for free). Zero whenever complement
-    /// mode is off (see [`DdKernel::set_complement`]).
+    /// Operation-cache hits answered through complemented-edge negation
+    /// normalization: always `0`, because every edge is plain. Kept only
+    /// because the repository benchmark's per-layer report
+    /// (`perfbench`'s `dd.complement_hits` row) reads it.
     pub complement_hits: u64,
 }
 
@@ -163,14 +162,6 @@ pub struct DdKernel {
     peak_snapshot: usize,
     gc_runs: u64,
     gc_reclaimed: u64,
-    /// Complement-normalized cache hits (see [`DdStats::complement_hits`]).
-    complement_hits: u64,
-    /// Complemented-edge mode: when on, [`DdKernel::mk`] enforces the
-    /// regular-high canonical form of [`crate::edge`] and returns
-    /// complemented edges where that halves the diagram. Only meaningful
-    /// for all-binary kernels (the ROBDD engine); the ROMDD engine leaves
-    /// it off.
-    complement: bool,
     /// Reusable buffers of the memoized probability traversal, so a
     /// design-space sweep evaluating thousands of points on one diagram
     /// allocates nothing per point.
@@ -225,8 +216,6 @@ impl DdKernel {
             peak_snapshot: 0,
             gc_runs: 0,
             gc_reclaimed: 0,
-            complement_hits: 0,
-            complement: false,
             prob: ProbScratch::default(),
             governor: None,
         }
@@ -244,32 +233,6 @@ impl DdKernel {
     /// The currently armed resource governor, if any.
     pub fn governor(&self) -> Option<&Governor> {
         self.governor.as_ref()
-    }
-
-    /// Switches complemented-edge mode on or off. Must be called before
-    /// any non-terminal node exists: flipping the canonical form under
-    /// live nodes would silently break id-equality-is-function-equality.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena already holds non-terminal nodes, or if any
-    /// level has arity other than 2 while enabling (complement edges are
-    /// a binary-diagram notion).
-    pub fn set_complement(&mut self, on: bool) {
-        assert!(self.arena.len() == 2, "complement mode must be chosen before nodes are created");
-        if on {
-            assert!(
-                (0..self.num_levels()).all(|l| self.arity(l) == 2),
-                "complement edges require an all-binary kernel"
-            );
-        }
-        self.complement = on;
-    }
-
-    /// Whether complemented-edge mode is on (see
-    /// [`DdKernel::set_complement`]).
-    pub fn complement_enabled(&self) -> bool {
-        self.complement
     }
 
     /// Returns (creating if necessary) the canonical node
@@ -296,22 +259,10 @@ impl DdKernel {
         self.cons(level, children)
     }
 
-    /// Hash-conses `(level, children)` after the redundancy check,
-    /// enforcing the complemented-edge canonical form when the mode is
-    /// on: a node whose high child is complemented or `ZERO` is stored
-    /// with both children negated and returned as a complemented edge
-    /// (see [`crate::edge`]).
+    /// Hash-conses `(level, children)` after the redundancy check.
     pub(crate) fn cons(&mut self, level: u32, children: &[u32]) -> u32 {
         let before = self.arena.len();
-        let id = if self.complement
-            && children.len() == 2
-            && (is_complemented(children[1]) || children[1] == ZERO)
-        {
-            let flipped = [negate(children[0]), negate(children[1])];
-            self.unique.get_or_insert(&mut self.arena, level, &flipped) | CPL_BIT
-        } else {
-            self.unique.get_or_insert(&mut self.arena, level, children)
-        };
+        let id = self.unique.get_or_insert(&mut self.arena, level, children);
         // Report to the governor only after the node is fully inserted:
         // an abort unwinding from here leaves the arena and unique table
         // consistent (the node is ordinary garbage for the next gc).
@@ -363,19 +314,14 @@ impl DdKernel {
         self.arena.level(id)
     }
 
-    /// The *stored* children of a node (empty for terminals) — raw edge
-    /// values as they sit in the arena, without the complement parity of
-    /// `id` applied. Structural traversals (marking, counting) want this
-    /// view; semantic cofactors want [`DdKernel::child`].
+    /// The children of a node (empty for terminals).
     pub fn children(&self, id: u32) -> &[u32] {
         self.arena.children(id)
     }
 
-    /// The child followed when the node's variable takes `value`, with
-    /// the complement parity of `id` propagated: the returned edge
-    /// denotes the cofactor of the *function* `id` denotes.
+    /// The child followed when the node's variable takes `value`.
     pub fn child(&self, id: u32, value: usize) -> u32 {
-        negate_if(is_complemented(id), self.arena.child(id, value))
+        self.arena.child(id, value)
     }
 
     /// Looks up a memoized operation result (counted in the statistics).
@@ -386,12 +332,6 @@ impl DdKernel {
     /// Memoizes an operation result.
     pub fn cache_insert(&mut self, key: OpKey, result: u32) {
         self.op_cache.insert(key, result);
-    }
-
-    /// Records one op-cache hit obtained through negation normalization
-    /// (counted into [`DdStats::complement_hits`]).
-    pub fn note_complement_hit(&mut self) {
-        self.complement_hits += 1;
     }
 
     /// Drops all memoized operation results (the unique table is kept, so
@@ -420,7 +360,7 @@ impl DdKernel {
             per_op: *self.op_cache.per_op_stats(),
             gc_runs: self.gc_runs,
             gc_reclaimed: self.gc_reclaimed,
-            complement_hits: self.complement_hits,
+            complement_hits: 0,
         }
     }
 
@@ -430,7 +370,7 @@ impl DdKernel {
     /// from it) survives every [`DdKernel::gc`] until the returned handle
     /// is passed to [`DdKernel::unprotect`].
     pub fn protect(&mut self, id: u32) -> Ref {
-        assert!((strip(id) as usize) < self.arena.len(), "cannot protect unknown node {id}");
+        assert!((id as usize) < self.arena.len(), "cannot protect unknown node {id}");
         match self.free_root_slots.pop() {
             Some(slot) => {
                 self.roots[slot as usize] = Some(id);
@@ -484,7 +424,6 @@ impl DdKernel {
         live[ONE as usize] = true;
         let mut stack: Vec<u32> = roots.to_vec();
         while let Some(id) = stack.pop() {
-            let id = strip(id);
             if std::mem::replace(&mut live[id as usize], true) {
                 continue;
             }
@@ -500,7 +439,6 @@ impl DdKernel {
         let mut stack: Vec<u32> = roots.to_vec();
         let mut count = 0usize;
         while let Some(id) = stack.pop() {
-            let id = strip(id);
             if std::mem::replace(&mut seen[id as usize], true) {
                 continue;
             }
@@ -533,9 +471,8 @@ impl DdKernel {
         self.unique.rebuild(&self.arena);
         let dropped = self.op_cache.invalidate_all();
         for slot in self.roots.iter_mut().flatten() {
-            let phys = remap[strip(*slot) as usize];
-            debug_assert_ne!(phys, u32::MAX, "protected roots survive the sweep");
-            *slot = phys | (*slot & CPL_BIT);
+            *slot = remap[*slot as usize];
+            debug_assert_ne!(*slot, u32::MAX, "protected roots survive the sweep");
         }
         self.gc_runs += 1;
         self.gc_reclaimed += (before - after) as u64;
@@ -548,10 +485,7 @@ impl DdKernel {
 
     // ---- shared traversals -------------------------------------------------
 
-    /// All *physical* nodes reachable from `root` (each exactly once,
-    /// complement bits stripped), root first. With complement edges a
-    /// node and its negation share one physical entry, so this is the
-    /// stored-size view — the metric the paper's node counts report.
+    /// All nodes reachable from `root`, each exactly once, root first.
     pub fn reachable(&self, root: u32) -> Vec<u32> {
         // Dense visited bitmap: node ids are arena indices, so a flat
         // Vec<bool> beats any hash set on these traversals.
@@ -559,7 +493,6 @@ impl DdKernel {
         let mut order = Vec::new();
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
-            let id = strip(id);
             if std::mem::replace(&mut seen[id as usize], true) {
                 continue;
             }
@@ -598,9 +531,7 @@ impl DdKernel {
         while cur > ONE {
             let level = self.arena.raw_level(cur) as usize;
             debug_assert_ne!(self.arena.raw_level(cur), TERMINAL_LEVEL);
-            // Propagate the edge's complement parity into the cofactor;
-            // terminals normalize exactly, so the loop test stays `> ONE`.
-            cur = negate_if(is_complemented(cur), self.arena.child(cur, pick(level)));
+            cur = self.arena.child(cur, pick(level));
         }
         cur == ONE
     }
@@ -640,11 +571,8 @@ impl DdKernel {
             scratch.values.resize(n, 0.0);
             scratch.stamp.resize(n, 0);
         }
-        // Memoization is per *physical* node: the value stored is the
-        // probability of the stored (uncomplemented) function, and each
-        // complemented edge crossed contributes `1 - p` on the way out.
         scratch.stack.clear();
-        scratch.stack.push(strip(root));
+        scratch.stack.push(root);
         while let Some(&node) = scratch.stack.last() {
             if scratch.stamp[node as usize] == epoch {
                 scratch.stack.pop();
@@ -654,12 +582,11 @@ impl DdKernel {
             let children = self.arena.children(node);
             let before = scratch.stack.len();
             for (value, &child) in children.iter().enumerate() {
-                let phys = strip(child);
-                if phys > ONE
-                    && scratch.stamp[phys as usize] != epoch
+                if child > ONE
+                    && scratch.stamp[child as usize] != epoch
                     && weight(level, value) != 0.0
                 {
-                    scratch.stack.push(phys);
+                    scratch.stack.push(child);
                 }
             }
             if scratch.stack.len() > before {
@@ -675,26 +602,14 @@ impl DdKernel {
                 let pv = match child {
                     ONE => 1.0,
                     ZERO => 0.0,
-                    _ => {
-                        let stored = scratch.values[strip(child) as usize];
-                        if is_complemented(child) {
-                            1.0 - stored
-                        } else {
-                            stored
-                        }
-                    }
+                    _ => scratch.values[child as usize],
                 };
                 p += w * pv;
             }
             scratch.values[node as usize] = p;
             scratch.stamp[node as usize] = epoch;
         }
-        let p = scratch.values[strip(root) as usize];
-        if is_complemented(root) {
-            1.0 - p
-        } else {
-            p
-        }
+        scratch.values[root as usize]
     }
 }
 

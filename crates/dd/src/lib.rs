@@ -60,7 +60,6 @@
 pub mod arena;
 pub mod cache;
 pub mod dot;
-pub mod edge;
 pub mod govern;
 pub mod hash;
 pub mod kernel;
@@ -70,7 +69,6 @@ pub mod unique;
 
 pub use arena::{NodeArena, TERMINAL_LEVEL};
 pub use cache::{OpCache, OpTagStats, NUM_OP_TAGS};
-pub use edge::{is_complemented, negate, negate_if, strip, CPL_BIT};
 pub use govern::{catch_governed, CancelToken, DdError, Governor, GovernorLimits};
 pub use kernel::{DdKernel, DdStats, GcStats, Protect, Ref, ONE, ZERO};
 pub use options::CompileOptions;

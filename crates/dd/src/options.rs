@@ -7,62 +7,40 @@
 //! (CLI flags, wire requests, test setup) and carried down the stack
 //! unchanged.
 //!
-//! Every knob here is a *resource or representation* choice, never an
-//! analysis option: yields, error bounds, truncations and ROMDD node
-//! counts are bit-identical at every setting (a node budget or deadline
-//! decides only whether a compilation completes), which is why none of
-//! these participate in model-reuse or cache keys.
+//! Every knob here is a *resource* choice, never an analysis option:
+//! yields, error bounds, truncations and ROMDD node counts are
+//! bit-identical at every setting (a node budget or deadline decides
+//! only whether a compilation completes), which is why none of these
+//! participate in model-reuse or cache keys.
 
 /// Knobs of a decision-diagram compilation, carried as one value through
-/// the pipeline/executor/service layers.
+/// the pipeline/executor/service layers: the op-cache capacity, the node
+/// budget, the deadline and the fault-injection fail point. The first
+/// three are also CLI flags ([`CompileOptions::CLI_HELP`]).
 ///
 /// Built with builder-style `with_*` constructors:
 ///
 /// ```
 /// use socy_dd::CompileOptions;
 ///
-/// let options = CompileOptions::new().with_complement_edges(false).with_node_budget(1 << 20);
-/// assert!(!options.complement_edges());
+/// let options = CompileOptions::new().with_op_cache_capacity(1 << 12).with_node_budget(1 << 20);
+/// assert_eq!(options.op_cache_capacity(), 1 << 12);
 /// assert_eq!(options.node_budget(), 1 << 20);
 /// assert_eq!(CompileOptions::default(), CompileOptions::new());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CompileOptions {
-    complement_edges: bool,
     op_cache_capacity: usize,
     node_budget: usize,
     deadline_ms: u64,
     fail_after: u64,
 }
 
-impl Default for CompileOptions {
-    fn default() -> Self {
-        Self {
-            complement_edges: true,
-            op_cache_capacity: 0,
-            node_budget: 0,
-            deadline_ms: 0,
-            fail_after: 0,
-        }
-    }
-}
-
 impl CompileOptions {
-    /// The default options: complemented edges on, manager-default
-    /// op-cache capacity, no resource limits.
+    /// The default options: manager-default op-cache capacity, no
+    /// resource limits.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enables or disables complemented (negative) edges in the ROBDD
-    /// kernel. A pure representation knob: yields, error bounds,
-    /// truncations and ROMDD node counts are bit-identical in both
-    /// modes; only the ROBDD-side node counts and cache statistics
-    /// differ. Defaults to `true`.
-    #[must_use]
-    pub fn with_complement_edges(mut self, on: bool) -> Self {
-        self.complement_edges = on;
-        self
     }
 
     /// Pins the operation-cache capacity (slots, rounded to a power of
@@ -116,11 +94,6 @@ impl CompileOptions {
         1
     }
 
-    /// Whether compilations use complemented edges in the ROBDD kernel.
-    pub fn complement_edges(&self) -> bool {
-        self.complement_edges
-    }
-
     /// Pinned op-cache capacity in slots (`0` = manager default).
     pub fn op_cache_capacity(&self) -> usize {
         self.op_cache_capacity
@@ -146,11 +119,7 @@ impl CompileOptions {
     /// the `serve` binary feed their argument loops through this single
     /// helper, so a future knob is added (and documented) in exactly one
     /// place.
-    pub const CLI_HELP: &'static str = "\
-  --no-complement-edges
-                       disable complemented edges in the ROBDD kernel
-                       (yields and ROMDD sizes are bit-identical either way)
-  --op-cache-capacity N
+    pub const CLI_HELP: &'static str = "  --op-cache-capacity N
                        pin the managers' operation-cache capacity in slots
                        (0 = adaptive default)
   --node-budget N      cap the nodes one compilation may materialise
@@ -172,10 +141,8 @@ impl CompileOptions {
     /// let mut options = CompileOptions::new();
     /// let mut rest = vec!["4096".to_string()].into_iter();
     /// assert_eq!(options.parse_cli_flag("--node-budget", &mut rest), Ok(true));
-    /// assert_eq!(options.parse_cli_flag("--no-complement-edges", &mut rest), Ok(true));
     /// assert_eq!(options.parse_cli_flag("--json", &mut rest), Ok(false));
     /// assert_eq!(options.node_budget(), 4096);
-    /// assert!(!options.complement_edges());
     /// ```
     pub fn parse_cli_flag(
         &mut self,
@@ -188,7 +155,6 @@ impl CompileOptions {
                 .ok_or_else(|| format!("{flag} requires an integer"))
         };
         match arg {
-            "--no-complement-edges" => *self = self.with_complement_edges(false),
             "--op-cache-capacity" => {
                 *self = self.with_op_cache_capacity(integer("--op-cache-capacity")?);
             }
@@ -209,12 +175,10 @@ mod tests {
     #[test]
     fn builders_and_getters_round_trip() {
         let options = CompileOptions::new()
-            .with_complement_edges(false)
             .with_op_cache_capacity(1 << 12)
             .with_node_budget(1 << 20)
             .with_deadline_ms(250)
             .with_fail_after(17);
-        assert!(!options.complement_edges());
         assert_eq!(options.op_cache_capacity(), 1 << 12);
         assert_eq!(options.node_budget(), 1 << 20);
         assert_eq!(options.deadline_ms(), 250);
@@ -225,15 +189,7 @@ mod tests {
     #[test]
     fn cli_flags_cover_every_knob() {
         let mut options = CompileOptions::new();
-        let argv = [
-            "--no-complement-edges",
-            "--op-cache-capacity",
-            "64",
-            "--node-budget",
-            "4096",
-            "--deadline-ms",
-            "1500",
-        ];
+        let argv = ["--op-cache-capacity", "64", "--node-budget", "4096", "--deadline-ms", "1500"];
         let mut args = argv.iter().map(ToString::to_string);
         while let Some(arg) = args.next() {
             assert_eq!(options.parse_cli_flag(&arg, &mut args), Ok(true), "{arg}");
@@ -241,7 +197,6 @@ mod tests {
         assert_eq!(
             options,
             CompileOptions::new()
-                .with_complement_edges(false)
                 .with_op_cache_capacity(64)
                 .with_node_budget(4096)
                 .with_deadline_ms(1500)
@@ -259,6 +214,18 @@ mod tests {
         assert_eq!(options.parse_cli_flag("--threads", &mut none), Ok(false));
         let mut stale = vec!["4".to_string()].into_iter();
         assert_eq!(options.parse_cli_flag("--compile-threads", &mut stale), Ok(false));
+        assert_eq!(options.parse_cli_flag("--no-complement-edges", &mut stale), Ok(false));
         assert_eq!(options, CompileOptions::new(), "failed parses leave the options unchanged");
+    }
+
+    #[test]
+    fn every_cli_help_flag_line_is_indented() {
+        let flags: Vec<&str> =
+            CompileOptions::CLI_HELP.lines().filter(|l| l.trim_start().starts_with("--")).collect();
+        assert_eq!(flags.len(), 3, "{}", CompileOptions::CLI_HELP);
+        for line in flags {
+            assert!(line.starts_with("  --"), "flag line lost its indent: {line:?}");
+        }
+        assert!(CompileOptions::CLI_HELP.starts_with("  --op-cache-capacity N"));
     }
 }

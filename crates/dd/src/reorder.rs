@@ -21,7 +21,6 @@
 //! live diagram, and collects once more before returning — so sifting
 //! renumbers node ids, and the driver hands the refreshed root ids back.
 
-use crate::edge::{is_complemented, negate_if};
 use crate::kernel::{DdKernel, Ref};
 
 /// Driver-internal root tracking: ids plus the protection handles used to
@@ -144,13 +143,7 @@ impl DdKernel {
                 for (cof, (&child, &lower)) in
                     cofactor.iter_mut().zip(children.iter().zip(&was_lower))
                 {
-                    // Propagate a complemented edge's parity into its
-                    // cofactor (a no-op on plain edges).
-                    *cof = if lower {
-                        negate_if(is_complemented(child), self.arena.child(child, j))
-                    } else {
-                        child
-                    };
+                    *cof = if lower { self.arena.child(child, j) } else { child };
                 }
                 *slot = if cofactor.iter().all(|&c| c == cofactor[0]) {
                     cofactor[0]
@@ -161,17 +154,6 @@ impl DdKernel {
             debug_assert!(
                 !new_children.iter().all(|&c| c == new_children[0]),
                 "a node with a child at the swapped level depends on that level"
-            );
-            // The rewritten node keeps its (plain) id, so it must keep a
-            // regular high edge. That holds structurally: its new high
-            // child is built from the old high child c1 (regular by the
-            // stored invariant) and c1's own high grandchild (regular
-            // again), so the flip rule in `cons` never fires for slot 1.
-            debug_assert!(
-                !self.complement_enabled()
-                    || a_low != 2
-                    || !is_complemented(new_children[1]) && new_children[1] != crate::kernel::ZERO,
-                "adjacent swap preserves the regular-high canonical form"
             );
             self.arena.set_node(id, lu, &new_children);
             self.unique.insert_new(&self.arena, id);

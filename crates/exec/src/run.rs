@@ -287,10 +287,6 @@ pub struct DdAggregate {
     /// Operation-cache evictions (lossy direct-mapped conflicts) across
     /// all managers.
     pub op_cache_evictions: u64,
-    /// Operation-cache hits obtained through a complemented-edge
-    /// negation normalization across all managers (always `0` for
-    /// ROMDD managers and when complemented edges are disabled).
-    pub complement_hits: u64,
     /// Garbage collections run across all managers.
     pub gc_runs: u64,
     /// Nodes reclaimed by garbage collection across all managers.
@@ -307,7 +303,6 @@ impl DdAggregate {
         self.op_cache_misses += stats.op_cache_misses;
         self.op_cache_insertions += stats.op_cache_insertions;
         self.op_cache_evictions += stats.op_cache_evictions;
-        self.complement_hits += stats.complement_hits;
         self.gc_runs += stats.gc_runs;
         self.gc_reclaimed += stats.gc_reclaimed;
     }

@@ -24,15 +24,6 @@ use crate::manager::{MddId, MddManager};
 /// are arena indices, so `u32::MAX` can never be a real ROMDD id.
 const UNSET: u32 = u32::MAX;
 
-/// Index of a coded-ROBDD edge in the dense conversion memo: with
-/// complemented edges one physical node can be reached under both
-/// parities and converts to two different ROMDD nodes, so the memo holds
-/// two slots per physical node — `(strip(id) << 1) | parity`.
-#[inline]
-fn memo_index(raw_edge: u32) -> usize {
-    ((socy_dd::strip(raw_edge) as usize) << 1) | usize::from(socy_dd::is_complemented(raw_edge))
-}
-
 /// Precomputed codeword assignments: `assignments[mv][value]` is the
 /// sorted `(bit_level, bit)` list encoding `value` for group `mv`.
 type GroupAssignments = Vec<Vec<Vec<(usize, bool)>>>;
@@ -104,13 +95,12 @@ impl MddManager {
 
 impl ConvScratch {
     /// Resets the memo for a fresh conversion out of `bdd` (terminals
-    /// pre-seeded, everything else unconverted). Two slots per physical
-    /// ROBDD node — one per complement parity (see [`memo_index`]).
+    /// pre-seeded, everything else unconverted): one slot per ROBDD node.
     fn prepare(&mut self, bdd: &BddManager) {
         self.memo.clear();
-        self.memo.resize(2 * bdd.allocated_nodes(), UNSET);
-        self.memo[memo_index(BddId::ZERO.index() as u32)] = socy_dd::ZERO;
-        self.memo[memo_index(BddId::ONE.index() as u32)] = socy_dd::ONE;
+        self.memo.resize(bdd.allocated_nodes(), UNSET);
+        self.memo[BddId::ZERO.index()] = socy_dd::ZERO;
+        self.memo[BddId::ONE.index()] = socy_dd::ONE;
     }
 }
 
@@ -129,7 +119,7 @@ fn convert(
     while let Some(frame) = scratch.frames.pop() {
         match frame {
             ConvFrame::Visit(node) => {
-                if scratch.memo[memo_index(node.index() as u32)] != UNSET {
+                if scratch.memo[node.index()] != UNSET {
                     continue;
                 }
                 let bit_level = bdd.level(node).expect("non-terminal");
@@ -141,7 +131,7 @@ fn convert(
                 for assignment in &assignments[mv] {
                     let below = follow_code(bdd, node, assignment);
                     scratch.below.push(below.index() as u32);
-                    if scratch.memo[memo_index(below.index() as u32)] == UNSET {
+                    if scratch.memo[below.index()] == UNSET {
                         scratch.frames.push(ConvFrame::Visit(below));
                     }
                 }
@@ -149,17 +139,17 @@ fn convert(
             ConvFrame::Build { node, mv, start } => {
                 scratch.children.clear();
                 for &below in &scratch.below[start as usize..] {
-                    let converted = scratch.memo[memo_index(below)];
+                    let converted = scratch.memo[below as usize];
                     debug_assert_ne!(converted, UNSET, "children are converted before parents");
                     scratch.children.push(converted);
                 }
                 scratch.below.truncate(start as usize);
                 let result = dd.mk(mv, &scratch.children);
-                scratch.memo[memo_index(node.index() as u32)] = result;
+                scratch.memo[node.index()] = result;
             }
         }
     }
-    scratch.memo[memo_index(root.index() as u32)]
+    scratch.memo[root.index()]
 }
 
 /// Walks down from `node` assigning the group bits given by `assignment`

@@ -59,12 +59,7 @@ impl MddManager {
         };
 
         // Collect the entry nodes of every layer: the root plus every node whose
-        // incoming edge crosses a layer boundary. The walk is over *edge
-        // values*, not physical nodes: with complemented edges one
-        // physical node can be reached under both parities, and each
-        // parity denotes the complement function of the other — two
-        // distinct entries converting to two different ROMDD nodes.
-        // (`low`/`high` propagate the edge's parity into the cofactors.)
+        // incoming edge crosses a layer boundary.
         let mut entries: Vec<Vec<BddId>> = vec![Vec::new(); layout.num_vars()];
         let mut seen_entry: FxHashMap<BddId, ()> = FxHashMap::default();
         entries[layer_of(root)].push(root);

@@ -52,9 +52,6 @@ impl MddManager {
     /// topological: each node's children get smaller slots than the node
     /// itself.
     pub fn freeze(&self, f: MddId) -> FrozenMdd {
-        // The multiple-valued kernel never turns complemented edges on,
-        // so every stored child id is a plain node id.
-        debug_assert!(!self.dd.complement_enabled());
         let reachable = self.dd.reachable(f.0);
         let num_levels = self.domains.len();
         let mut per_level = vec![0usize; num_levels];

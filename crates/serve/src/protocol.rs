@@ -181,18 +181,13 @@ pub struct GovernorBody {
 /// [`soc_yield_core::CompileOptions`].
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct OptionsBody {
-    /// Whether compilations use complemented edges in the ROBDD kernel.
-    pub complement_edges: bool,
     /// Pinned op-cache capacity in slots (`0` = manager default).
     pub op_cache_capacity: usize,
 }
 
 impl From<soc_yield_core::CompileOptions> for OptionsBody {
     fn from(options: soc_yield_core::CompileOptions) -> Self {
-        Self {
-            complement_edges: options.complement_edges(),
-            op_cache_capacity: options.op_cache_capacity(),
-        }
+        Self { op_cache_capacity: options.op_cache_capacity() }
     }
 }
 

@@ -58,10 +58,10 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Live-node budget of the pipeline cache (`None` = unbounded).
     pub node_budget: Option<usize>,
-    /// The kernel knobs every compilation runs under (complemented edges,
-    /// op-cache capacity, resource limits), as one [`CompileOptions`]
-    /// value. Never part of the cache key: compiled diagrams and yields are
-    /// bit-identical at every setting (see [`SweepMatrix::options`]).
+    /// The kernel knobs every compilation runs under (op-cache capacity,
+    /// resource limits), as one [`CompileOptions`] value. Never part of
+    /// the cache key: compiled diagrams and yields are bit-identical at
+    /// every setting (see [`SweepMatrix::options`]).
     pub options: CompileOptions,
 }
 

@@ -37,6 +37,11 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(pretty.lines().map(str::trim_start).collect::<Vec<_>>().join("").replace("\": ", "\":"))
 }
 
+/// Deepest nesting of arrays and objects [`from_str`] accepts — the
+/// default recursion limit of the real `serde_json`. The parser recurses
+/// once per level, so this bounds its stack use on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Value`] tree.
 ///
 /// Supports the full JSON data model the shim's printer emits (objects,
@@ -47,11 +52,12 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// # Errors
 ///
 /// Returns a readable [`Error`] naming the byte offset of the first
-/// malformed construct, including trailing garbage after the document.
+/// malformed construct, including trailing garbage after the document
+/// and arrays or objects nested more than [`MAX_DEPTH`] levels deep.
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::parse(pos, "trailing characters after the document"));
@@ -89,12 +95,17 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(Error::parse(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(Error::parse(
+            *pos,
+            format!("arrays and objects nest deeper than the limit of {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
@@ -118,7 +129,7 @@ fn parse_keyword(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -131,7 +142,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -145,7 +156,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -154,7 +165,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -310,6 +321,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
 
 #[cfg(test)]
 mod tests {
+    use super::MAX_DEPTH;
     use serde::Serialize;
 
     #[derive(Serialize)]
@@ -438,6 +450,30 @@ mod tests {
             let err = super::from_str(bad).unwrap_err();
             assert!(err.to_string().contains("JSON parse error"), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(super::from_str(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(super::from_str(&objects).is_ok());
+        let limit = format!("limit of {MAX_DEPTH} levels");
+        for too_deep in [
+            nested(MAX_DEPTH + 1, "[", "]"),
+            format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1)),
+            format!("[{{\"k\":{}", nested(MAX_DEPTH - 1, "[", "]") + "}]"),
+        ] {
+            let err = super::from_str(&too_deep).unwrap_err().to_string();
+            assert!(err.contains("JSON parse error") && err.contains(&limit), "{err}");
+        }
+        // Far past the limit the parser stops at the first excess level
+        // instead of recursing until the stack overflows.
+        let hostile = "[".repeat(200_000);
+        let err = super::from_str(&hostile).unwrap_err().to_string();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}:")) && err.contains(&limit), "{err}");
     }
 
     #[test]

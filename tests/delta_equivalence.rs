@@ -7,9 +7,8 @@
 //! function inside the retained ROBDD manager — but the numbers (and
 //! the ROMDD node counts) must be indistinguishable from paying a full
 //! compilation per variant. These tests enforce that promise across
-//! randomized families under both kernel modes (complement edges on and
-//! off), and pin the headline speedup on the bench harness's ESEN4x1
-//! what-if family.
+//! randomized families, and pin the headline speedup on the bench
+//! harness's ESEN4x1 what-if family.
 
 use std::time::{Duration, Instant};
 
@@ -18,12 +17,7 @@ use proptest::prelude::*;
 use soc_yield::benchmarks::esen;
 use soc_yield::defect::NegativeBinomial;
 use soc_yield::faulttree::Netlist;
-use soc_yield::{
-    AnalysisOptions, CompileOptions, ComponentProbabilities, Pipeline, SystemDelta, YieldReport,
-};
-
-/// The complement-edge modes every family is checked under.
-const MODES: [bool; 2] = [true, false];
+use soc_yield::{AnalysisOptions, ComponentProbabilities, Pipeline, SystemDelta, YieldReport};
 
 fn next(state: &mut u64) -> u64 {
     *state ^= *state << 13;
@@ -32,9 +26,8 @@ fn next(state: &mut u64) -> u64 {
     *state
 }
 
-/// A small random fault tree over `c` components (the same generator
-/// shape as `complement_equivalence.rs`, inverters included so
-/// complement edges actually appear in the diagrams).
+/// A small random fault tree over `c` components (AND, OR and inverted
+/// OR gates).
 fn build_tree(c: usize, gates: usize, state: &mut u64) -> Netlist {
     let mut nl = Netlist::new();
     let mut nodes: Vec<_> = (0..c).map(|i| nl.input(format!("x{i}"))).collect();
@@ -97,7 +90,7 @@ proptest! {
     /// A randomized family — the unchanged base, a halved component, an
     /// immune component, and a structural fault-tree swap — evaluated
     /// incrementally must match per-variant from-scratch pipelines bit
-    /// for bit, under both kernel modes.
+    /// for bit.
     #[test]
     fn random_delta_families_match_from_scratch_compiles(
         c in 2usize..=5,
@@ -117,23 +110,17 @@ proptest! {
             SystemDelta::named("swap").with_fault_tree(variant_tree),
         ];
         let analysis = AnalysisOptions { epsilon: 1e-2, ..AnalysisOptions::default() };
-        for complement in MODES {
-            let options = CompileOptions::default().with_complement_edges(complement);
-            let mut pipeline = Pipeline::with_options(&base_tree, &components, options)
-                .expect("valid base system");
-            let family = pipeline
-                .sweep_deltas(&lethal, &analysis, &deltas)
-                .expect("delta sweep succeeds");
-            prop_assert_eq!(family.len(), deltas.len());
-            for (delta, report) in deltas.iter().zip(&family) {
-                let (tree, comps) =
-                    delta.materialize(&base_tree, &components).expect("consistent delta");
-                let mut scratch = Pipeline::with_options(&tree, &comps, options)
-                    .expect("valid materialized variant");
-                let fresh = scratch.evaluate(&lethal, &analysis).expect("scratch evaluation");
-                let context = format!("Δ{} (complement {complement})", delta.name());
-                assert_bit_identical(report, &fresh, &context);
-            }
+        let mut pipeline = Pipeline::new(&base_tree, &components).expect("valid base system");
+        let family =
+            pipeline.sweep_deltas(&lethal, &analysis, &deltas).expect("delta sweep succeeds");
+        prop_assert_eq!(family.len(), deltas.len());
+        for (delta, report) in deltas.iter().zip(&family) {
+            let (tree, comps) =
+                delta.materialize(&base_tree, &components).expect("consistent delta");
+            let mut scratch =
+                Pipeline::new(&tree, &comps).expect("valid materialized variant");
+            let fresh = scratch.evaluate(&lethal, &analysis).expect("scratch evaluation");
+            assert_bit_identical(report, &fresh, &format!("Δ{}", delta.name()));
         }
     }
 }

@@ -6,7 +6,7 @@
 //! assert the cleanup contract of `socy_dd::govern`: the manager
 //! survives the abort, garbage collection reports no leaked nodes, and
 //! an immediate recompile on the surviving manager is bit-identical to
-//! an undisturbed build — in both complement-edge modes.
+//! an undisturbed build.
 //!
 //! The ladder tests drive [`Pipeline::evaluate_governed`] through every
 //! rung of a [`DegradeLadder`] by measuring, per option set, the minimal
@@ -65,12 +65,6 @@ fn arb_fault_tree(max_components: usize) -> impl Strategy<Value = (Netlist, usiz
     })
 }
 
-fn manager(levels: usize, complement: bool) -> BddManager {
-    let mut mgr = BddManager::new(levels);
-    mgr.set_complement(complement);
-    mgr
-}
-
 proptest! {
     #![proptest_config(failpoint_cases(32, 128))]
 
@@ -82,19 +76,18 @@ proptest! {
     fn aborted_builds_leave_the_manager_consistent_and_recompilable(
         (netlist, c) in arb_fault_tree(6),
         cut in any::<u64>(),
-        complement in any::<bool>(),
     ) {
         let order: Vec<usize> = (0..c).collect();
         let probs: Vec<f64> = (0..c).map(|i| (i as f64 + 1.0) / (c as f64 + 2.0)).collect();
 
         // Reference: an undisturbed build on a fresh manager.
-        let mut reference = manager(c, complement);
+        let mut reference = BddManager::new(c);
         let ref_build = reference.build_netlist(&netlist, &order);
         let ref_prob = reference.probability(ref_build.root, &probs);
 
         // Meter the build with a pure counting governor (all limits zero
         // never trip) to learn how many materialisations it costs.
-        let mut counting = manager(c, complement);
+        let mut counting = BddManager::new(c);
         let meter = Governor::new(GovernorLimits::default(), None);
         counting.set_governor(Some(meter.clone()));
         let _ = counting.build_netlist(&netlist, &order);
@@ -104,7 +97,7 @@ proptest! {
         // Victim: the same build with a fail point at a random 1..=total
         // materialisation.
         let fail_after = 1 + cut % total;
-        let mut victim = manager(c, complement);
+        let mut victim = BddManager::new(c);
         let baseline_live = victim.stats().live_nodes;
         let governor =
             Governor::new(GovernorLimits { fail_after, ..GovernorLimits::default() }, None);
@@ -152,20 +145,21 @@ proptest! {
     fn aborted_pipeline_evaluations_recover_bit_identically(
         (netlist, c) in arb_fault_tree(5),
         cut in 1u64..400,
-        complement in any::<bool>(),
     ) {
         let weights: Vec<f64> = (0..c).map(|i| 1.0 + i as f64).collect();
         let components = ComponentProbabilities::from_weights(&weights, 1.0).unwrap();
         let lethal = NegativeBinomial::new(1.0, 4.0).unwrap();
         let analysis = AnalysisOptions::default();
-        let kernel = CompileOptions::new().with_complement_edges(complement);
 
-        let mut reference =
-            Pipeline::with_options(&netlist, &components, kernel).unwrap();
+        let mut reference = Pipeline::new(&netlist, &components).unwrap();
         let expect = reference.evaluate(&lethal, &analysis).unwrap();
 
-        let mut governed =
-            Pipeline::with_options(&netlist, &components, kernel.with_fail_after(cut)).unwrap();
+        let mut governed = Pipeline::with_options(
+            &netlist,
+            &components,
+            CompileOptions::new().with_fail_after(cut),
+        )
+        .unwrap();
         match governed.evaluate(&lethal, &analysis) {
             // The fail point sat beyond what this compilation allocates
             // (timings are wall-clock, so compare the stable fields).
@@ -179,7 +173,7 @@ proptest! {
             Err(CoreError::Resource(DdError::BudgetExceeded { budget, .. })) => {
                 prop_assert_eq!(budget, cut);
                 // Same pipeline, fail point disarmed: bit-identical.
-                governed.set_options(kernel);
+                governed.set_options(CompileOptions::new());
                 let recovered = governed.evaluate(&lethal, &analysis).unwrap();
                 prop_assert_eq!(
                     recovered.yield_lower_bound.to_bits(),

@@ -10,19 +10,15 @@
 use soc_yield::benchmarks::{esen, ms};
 use soc_yield::defect::NegativeBinomial;
 use soc_yield::ordering::{GroupOrdering, MvOrdering};
-use soc_yield::{
-    analyze, analyze_direct, AnalysisOptions, CompileOptions, OrderingSpec, Pipeline, SweepPoint,
-};
+use soc_yield::{analyze, analyze_direct, AnalysisOptions, OrderingSpec, Pipeline, SweepPoint};
 
 struct Anchor {
     lambda: f64,
     truncation: usize,
-    /// Coded-ROBDD size as `[complement edges off, on]`: the physical
-    /// diagram is the only thing the toggle may change, so both
-    /// representations are pinned (off = the pre-complement seed values).
-    robdd_size: [usize; 2],
-    /// Peak ROBDD nodes during construction, `[off, on]`.
-    robdd_peak: [usize; 2],
+    /// Coded-ROBDD size (reachable nodes).
+    robdd_size: usize,
+    /// Peak ROBDD nodes during construction.
+    robdd_peak: usize,
     romdd_size: usize,
     yield_lower_bound: f64,
 }
@@ -32,52 +28,35 @@ fn check_anchor(system: &soc_yield::benchmarks::BenchmarkSystem, anchor: &Anchor
     let lethal =
         NegativeBinomial::new(anchor.lambda, 4.0).unwrap().thinned(comps.lethality()).unwrap();
     let options = AnalysisOptions { epsilon: 1e-3, ..AnalysisOptions::default() };
-    // `analyze` uses the pipeline defaults (complement edges on); the
-    // explicit pipeline pins the plain-edge representation too, so both
-    // kernel modes stay anchored bit-for-bit on every PR.
     let analysis = analyze(&system.fault_tree, &comps, &lethal, &options).unwrap();
-    for (complement, report) in [
-        (false, {
-            let mut pipeline = Pipeline::new(&system.fault_tree, &comps).unwrap();
-            pipeline.set_options(CompileOptions::new().with_complement_edges(false));
-            pipeline.evaluate(&lethal, &options).unwrap()
-        }),
-        (true, analysis.report.clone()),
-    ] {
-        let label = format!("{} λ'={} complement={}", system.name, anchor.lambda, complement);
-        let mode = usize::from(complement);
-        assert_eq!(report.truncation, anchor.truncation, "{label}: truncation");
-        assert_eq!(report.coded_robdd_size, anchor.robdd_size[mode], "{label}: ROBDD size");
-        assert_eq!(report.robdd_peak, anchor.robdd_peak[mode], "{label}: ROBDD peak");
-        assert_eq!(report.romdd_size, anchor.romdd_size, "{label}: ROMDD size");
-        assert_eq!(
-            report.yield_lower_bound, anchor.yield_lower_bound,
-            "{label}: yield must be bit-identical"
-        );
-        // The kernel statistics must agree with the sizes the report carries.
-        assert_eq!(report.robdd_stats.peak_nodes, anchor.robdd_peak[mode]);
-        assert_eq!(report.robdd_stats.unique_entries, anchor.robdd_peak[mode] - 2);
-    }
-    assert!(
-        anchor.robdd_size[1] < anchor.robdd_size[0],
-        "complemented edges must shrink the pinned coded ROBDDs"
+    let report = &analysis.report;
+    let label = format!("{} λ'={}", system.name, anchor.lambda);
+    assert_eq!(report.truncation, anchor.truncation, "{label}: truncation");
+    assert_eq!(report.coded_robdd_size, anchor.robdd_size, "{label}: ROBDD size");
+    assert_eq!(report.robdd_peak, anchor.robdd_peak, "{label}: ROBDD peak");
+    assert_eq!(report.romdd_size, anchor.romdd_size, "{label}: ROMDD size");
+    assert_eq!(
+        report.yield_lower_bound, anchor.yield_lower_bound,
+        "{label}: yield must be bit-identical"
     );
+    // The kernel statistics must agree with the sizes the report carries.
+    assert_eq!(report.robdd_stats.peak_nodes, anchor.robdd_peak);
+    assert_eq!(report.robdd_stats.unique_entries, anchor.robdd_peak - 2);
+    assert_eq!(report.robdd_stats.complement_hits, 0, "every edge is plain");
     assert_eq!(analysis.report.romdd_stats.peak_nodes, analysis.mdd.peak_nodes());
 }
 
 #[test]
 fn esen4x1_table4_anchors_are_bit_identical() {
-    // `[0]` entries recorded from the pre-kernel-refactor engines (seed
-    // state, plain edges); `[1]` entries from the complemented-edge
-    // kernel. Yields and ROMDD sizes are identical in both modes.
+    // Recorded from the pre-kernel-refactor engines (seed state).
     let system = esen(4, 1);
     check_anchor(
         &system,
         &Anchor {
             lambda: 1.0,
             truncation: 6,
-            robdd_size: [9897, 9887],
-            robdd_peak: [15736, 15698],
+            robdd_size: 9897,
+            robdd_peak: 15736,
             romdd_size: 1461,
             yield_lower_bound: 0.8528030506125002,
         },
@@ -87,8 +66,8 @@ fn esen4x1_table4_anchors_are_bit_identical() {
         &Anchor {
             lambda: 2.0,
             truncation: 10,
-            robdd_size: [39532, 39522],
-            robdd_peak: [59434, 59378],
+            robdd_size: 39532,
+            robdd_peak: 59434,
             romdd_size: 4377,
             yield_lower_bound: 0.6962524531167209,
         },
@@ -103,8 +82,8 @@ fn ms2_table4_anchor_is_bit_identical() {
         &Anchor {
             lambda: 1.0,
             truncation: 6,
-            robdd_size: [22229, 22221],
-            robdd_peak: [44605, 44564],
+            robdd_size: 22229,
+            robdd_peak: 44605,
             romdd_size: 2034,
             yield_lower_bound: 0.9456492858806436,
         },

@@ -6,6 +6,7 @@ use soc_yield::benchmarks::{esen, ms};
 use soc_yield::core::exact::exact_yield;
 use soc_yield::defect::truncation::truncate_at;
 use soc_yield::defect::{ComponentProbabilities, NegativeBinomial};
+use soc_yield::faulttree::GateKind;
 use soc_yield::sim::{MonteCarloYield, SimulationOptions};
 use soc_yield::{
     analyze, analyze_direct, AnalysisOptions, ConversionAlgorithm, GroupOrdering, MvOrdering,
@@ -95,7 +96,10 @@ fn ms2_direct_romdd_construction_agrees_with_coded_robdd_route() {
     assert!((coded.report.yield_lower_bound - direct.report.yield_lower_bound).abs() < 1e-12);
 }
 
-/// Deterministic pseudo-random fault-tree generator (AND/OR/NOT/AtLeast DAG).
+/// Deterministic pseudo-random fault-tree generator (AND/OR/NOT/XOR/AtLeast
+/// DAG). XOR gates take the ROBDD apply machine through its XOR-with-ONE
+/// redirect to NOT, so the exact-baseline comparison below covers it end
+/// to end.
 fn random_fault_tree(components: usize, gates: usize, seed: u64) -> Netlist {
     let mut nl = Netlist::new();
     let mut nodes: Vec<_> = (0..components).map(|i| nl.input(format!("x{i}"))).collect();
@@ -110,13 +114,14 @@ fn random_fault_tree(components: usize, gates: usize, seed: u64) -> Netlist {
         let arity = 2 + (next() % 3) as usize;
         let fanin: Vec<_> =
             (0..arity).map(|_| nodes[(next() % nodes.len() as u64) as usize]).collect();
-        let gate = match next() % 4 {
+        let gate = match next() % 5 {
             0 => nl.and(fanin),
             1 => nl.or(fanin),
             2 => {
                 let inner = nl.or(fanin);
                 nl.not(inner)
             }
+            3 => nl.xor(fanin),
             _ => nl.at_least(2, fanin),
         };
         nodes.push(gate);
@@ -128,9 +133,11 @@ fn random_fault_tree(components: usize, gates: usize, seed: u64) -> Netlist {
 
 #[test]
 fn random_small_systems_match_the_exact_baseline() {
+    let mut xor_gates = 0;
     for seed in 0..8u64 {
         let c = 4 + (seed as usize % 4);
         let fault_tree = random_fault_tree(c, 6, seed + 1);
+        xor_gates += fault_tree.iter().filter(|(_, gate)| gate.kind == GateKind::Xor).count();
         let weights: Vec<f64> = (0..c).map(|i| 1.0 + (i % 3) as f64).collect();
         let components = ComponentProbabilities::from_weights(&weights, 1.0).unwrap();
         let lethal = nb(1.0);
@@ -144,6 +151,7 @@ fn random_small_systems_match_the_exact_baseline() {
             analysis.report.yield_lower_bound
         );
     }
+    assert!(xor_gates > 0, "the generated systems must include XOR gates");
 }
 
 #[test]

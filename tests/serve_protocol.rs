@@ -231,20 +231,15 @@ fn stats_responses_echo_the_active_compile_options() {
     let threads = std::env::var("SOCY_TEST_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(2);
     let mut service = YieldService::new(ServiceConfig {
         threads,
-        options: socy_serve::CompileOptions::new()
-            .with_op_cache_capacity(1 << 12)
-            .with_complement_edges(false),
+        options: socy_serve::CompileOptions::new().with_op_cache_capacity(1 << 12),
         ..ServiceConfig::default()
     });
     let stats = service.handle_line(r#"{"type":"stats","id":"o"}"#);
     assert!(stats.ok);
     let line = stats.to_json_line();
-    // The whole echo: compilation is sequential, so no compile-thread or
-    // grain knob stands next to the two representation knobs.
-    assert!(
-        line.contains(r#""options":{"complement_edges":false,"op_cache_capacity":4096}"#),
-        "{line}"
-    );
+    // The whole echo: compilation is sequential and every ROBDD edge is
+    // plain, so the op-cache capacity is the only knob left to echo.
+    assert!(line.contains(r#""options":{"op_cache_capacity":4096}"#), "{line}");
 }
 
 #[test]
@@ -322,6 +317,25 @@ fn malformed_and_unresolvable_requests_answer_with_errors() {
 
     // Responses always serialize to a single line.
     assert!(!garbage.to_json_line().contains('\n'));
+}
+
+#[test]
+fn a_deeply_nested_line_gets_one_error_and_the_next_request_is_answered() {
+    let mut service = service();
+    // 200,000 unclosed brackets: past the parser's nesting limit, which
+    // keeps the recursive-descent parser from overflowing the stack.
+    let hostile = "[".repeat(200_000);
+    let good = analyze_ms2("after-deep");
+    let responses = service.handle_batch(&[&hostile, &good]);
+    assert_eq!(responses.len(), 2, "exactly one response per line");
+    let deep = &responses[0];
+    assert!(!deep.ok);
+    assert_eq!(deep.kind, "error");
+    assert_eq!(deep.panicked, Some(false));
+    let error = deep.error.as_deref().unwrap();
+    assert!(error.starts_with("invalid request") && error.contains("limit of 128"), "{error}");
+    assert!(responses[1].ok, "{:?}", responses[1].error);
+    assert_eq!(responses[1].id.as_deref(), Some("after-deep"));
 }
 
 #[test]
