@@ -36,8 +36,8 @@ use soc_yield_core::{
 use socy_benchmarks::BenchmarkSystem;
 use socy_defect::{DefectError, NegativeBinomial};
 use socy_exec::{
-    NamedDistribution, PipelineLru, SweepBlock, SweepError, SweepMatrix, SweepOutcome,
-    SweepSummary, SystemSpec, TruncationRule,
+    NamedDistribution, SweepBlock, SweepError, SweepMatrix, SweepOutcome, SweepSummary, SystemSpec,
+    TruncationRule,
 };
 use socy_ordering::OrderingSpec;
 
@@ -209,105 +209,6 @@ impl From<DefectError> for HarnessError {
     }
 }
 
-/// Default live-node budget of a [`Runner`]'s pipeline cache: enough to
-/// keep a handful of the paper's systems resident (their ROMDDs are
-/// hundreds to a few thousand nodes each) while bounding a long table
-/// run that touches every benchmark.
-pub const RUNNER_LIVE_NODE_BUDGET: usize = 1 << 16;
-
-/// A harness that keeps the [`Pipeline`]s of the benchmark systems it
-/// recently worked on in an LRU cache ([`PipelineLru`]), so consecutive
-/// evaluations of the same system (another ordering spec, another λ'
-/// whose truncation a compiled diagram already covers) skip the
-/// truncate/encode/order/compile/convert chain.
-///
-/// A diagram is reused only when it covers the requested truncation at
-/// the same ordering spec; the shipped tables iterate λ' in ascending
-/// order, so every printed row reports the sizes of a diagram compiled
-/// at exactly that row's truncation, as the paper's tables do. Eviction
-/// is charged against **live** (post-GC) ROMDD nodes —
-/// [`Pipeline::live_nodes`], the same cost definition the `socy-serve`
-/// cache uses — never against the transient `peak_nodes` high-water
-/// mark, so a long-lived pipeline is not evicted for construction
-/// pressure it has already garbage-collected.
-pub struct Runner {
-    cache: PipelineLru<String>,
-}
-
-impl Default for Runner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Runner {
-    /// Creates an empty runner with the default live-node budget
-    /// [`RUNNER_LIVE_NODE_BUDGET`].
-    pub fn new() -> Self {
-        Self::with_budget(Some(RUNNER_LIVE_NODE_BUDGET))
-    }
-
-    /// Creates an empty runner evicting down to `budget` summed live
-    /// nodes (`None` disables eviction).
-    pub fn with_budget(budget: Option<usize>) -> Self {
-        Self { cache: PipelineLru::new(budget) }
-    }
-
-    /// The underlying pipeline cache (for inspecting hit/miss/eviction
-    /// counters or residency).
-    pub fn cache(&self) -> &PipelineLru<String> {
-        &self.cache
-    }
-
-    /// Runs one workload under one ordering spec, reusing a cached
-    /// pipeline when one is resident for the same system, and returns
-    /// the full [`YieldReport`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis or defect-model construction failures.
-    pub fn run_report(
-        &mut self,
-        workload: &Workload,
-        spec: OrderingSpec,
-    ) -> Result<YieldReport, HarnessError> {
-        let components = workload.system.component_probabilities(LETHALITY)?;
-        let raw = NegativeBinomial::new(workload.lambda / LETHALITY, ALPHA)?;
-        let lethal = raw.thinned(components.lethality())?;
-        let options = AnalysisOptions { epsilon: EPSILON, spec, ..AnalysisOptions::default() };
-        let name = &workload.system.name;
-        let pipeline = self.cache.get_or_try_insert_with(name, || {
-            Pipeline::new(&workload.system.fault_tree, &components).map_err(HarnessError::from)
-        })?;
-        Ok(pipeline.evaluate(&lethal, &options)?)
-    }
-
-    /// Like [`Runner::run_report`], condensed into a table [`ResultRow`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis or defect-model construction failures.
-    pub fn run(
-        &mut self,
-        workload: &Workload,
-        spec: OrderingSpec,
-    ) -> Result<ResultRow, HarnessError> {
-        let report = self.run_report(workload, spec)?;
-        Ok(ResultRow::from_report(workload, &report))
-    }
-}
-
-/// Runs the full pipeline for one workload under one ordering spec
-/// (one-shot; tables iterating many points should share a [`Runner`]
-/// or, better, batch everything into one [`run_table`] call).
-///
-/// # Errors
-///
-/// Propagates analysis or defect-model construction failures.
-pub fn run_workload(workload: &Workload, spec: OrderingSpec) -> Result<ResultRow, HarnessError> {
-    Runner::new().run(workload, spec)
-}
-
 /// Answers one table cell with deterministic Monte-Carlo confidence
 /// bounds (`fidelity: "bounds"`) instead of a compiled evaluation — the
 /// graceful-degradation fallback the tables use when a governed
@@ -371,9 +272,8 @@ pub struct TableOutcome {
 ///
 /// Each cell becomes its own [`SweepBlock`], so every printed row
 /// reports the metrics of a decision diagram compiled at exactly that
-/// row's truncation (the behaviour of the serial [`Runner`] tables, and
-/// of the paper's). The engine guarantees results are bit-identical for
-/// every `threads` value.
+/// row's truncation, as the paper's tables do. The engine guarantees
+/// results are bit-identical for every `threads` value.
 ///
 /// # Errors
 ///
@@ -439,8 +339,7 @@ pub struct CliArgs {
     /// cores). Any value produces bit-identical tables; it only changes
     /// the wall-clock time.
     pub threads: usize,
-    /// The shared kernel knobs and resource limits
-    /// (`--op-cache-capacity`, `--node-budget`, `--deadline-ms`): one
+    /// The shared resource limits (`--node-budget`, `--deadline-ms`): one
     /// [`CompileOptions`] value parsed through
     /// [`CompileOptions::parse_cli_flag`] — the same helper the `serve`
     /// binary uses, so both CLIs expose exactly one flag surface.
@@ -971,9 +870,12 @@ mod tests {
     }
 
     #[test]
-    fn run_workload_on_smallest_instance() {
+    fn table_rows_on_smallest_instance() {
         let workload = Workload { system: socy_benchmarks::esen(4, 1), lambda: 1.0 };
-        let row = run_workload(&workload, OrderingSpec::paper_default()).unwrap();
+        let cells = vec![(workload.clone(), vec![OrderingSpec::paper_default()])];
+        let outcome = run_table(&cells, 1, CompileOptions::default()).unwrap();
+        let report = outcome.cells[0][0].as_ref().unwrap();
+        let row = ResultRow::from_report(&workload, report);
         assert_eq!(row.components, 14);
         assert!(row.yield_lower_bound > 0.5 && row.yield_lower_bound < 1.0);
         assert!(row.error_bound <= EPSILON);
@@ -984,45 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn runner_reuses_pipelines_across_lambdas() {
-        let mut runner = Runner::new();
-        let system = socy_benchmarks::esen(4, 1);
-        let spec = OrderingSpec::paper_default();
-        let one = runner.run(&Workload { system: system.clone(), lambda: 2.0 }, spec).unwrap();
-        let two = runner.run(&Workload { system: system.clone(), lambda: 1.0 }, spec).unwrap();
-        // λ' = 2 compiled at M = 10; the λ' = 1 point reuses that diagram.
-        assert!(one.truncation > two.truncation);
-        assert!(two.yield_lower_bound > one.yield_lower_bound);
-        assert_eq!(runner.cache().stats().hits, 1, "the λ'=1 point hit the resident pipeline");
-        // Switching systems keeps both resident — the budget is charged
-        // against live nodes, and these diagrams are small.
-        let other = socy_benchmarks::ms(2);
-        let _ = runner.run(&Workload { system: other, lambda: 1.0 }, spec).unwrap();
-        assert!(runner.cache().contains(&"MS2".to_string()));
-        assert!(runner.cache().contains(&"ESEN4x1".to_string()));
-        assert!(runner.cache().live_nodes() <= RUNNER_LIVE_NODE_BUDGET);
-        // Coming back to the first system reuses its diagrams and agrees.
-        let again = runner.run(&Workload { system, lambda: 1.0 }, spec).unwrap();
-        assert_eq!(again.yield_lower_bound, two.yield_lower_bound);
-        assert_eq!(runner.cache().stats().evictions, 0);
-    }
-
-    #[test]
-    fn runner_budget_evicts_least_recently_used_system() {
-        // A budget of one node cannot hold two systems: the older one is
-        // evicted as soon as the next arrives.
-        let mut runner = Runner::with_budget(Some(1));
-        let spec = OrderingSpec::paper_default();
-        let first = socy_benchmarks::esen(4, 1);
-        let _ = runner.run(&Workload { system: first.clone(), lambda: 1.0 }, spec).unwrap();
-        let _ =
-            runner.run(&Workload { system: socy_benchmarks::ms(2), lambda: 1.0 }, spec).unwrap();
-        assert!(!runner.cache().contains(&first.name));
-        assert!(runner.cache().contains(&"MS2".to_string()));
-        assert_eq!(runner.cache().stats().evictions, 1);
-    }
-
-    #[test]
     fn cli_helpers() {
         assert_eq!(fmt_seconds(Duration::from_millis(1234)), "1.23");
         // maybe_write_json with None is a no-op.
@@ -1030,7 +893,7 @@ mod tests {
     }
 
     #[test]
-    fn run_table_matches_the_serial_runner() {
+    fn run_table_matches_fresh_serial_evaluations() {
         let esen = socy_benchmarks::esen(4, 1);
         let cells = vec![
             (
@@ -1052,13 +915,19 @@ mod tests {
         assert_eq!(outcome.cells[1].len(), 1);
         assert_eq!(outcome.summary.points, 3);
         assert_eq!(outcome.summary.chunks, 3);
-        // Cell-by-cell the parallel engine reproduces the serial Runner
-        // bit for bit (each cell compiles at its own truncation).
-        let mut runner = Runner::new();
+        // Cell-by-cell the parallel engine reproduces a fresh serial
+        // pipeline bit for bit (each cell compiles at its own truncation).
         for ((workload, specs), results) in cells.iter().zip(&outcome.cells) {
+            let components = workload.system.component_probabilities(LETHALITY).unwrap();
+            let lethal = workload_distribution(workload).unwrap().distribution;
             for (spec, result) in specs.iter().zip(results) {
                 let parallel = result.as_ref().unwrap();
-                let serial = runner.run_report(workload, *spec).unwrap();
+                let options =
+                    AnalysisOptions { epsilon: EPSILON, spec: *spec, ..AnalysisOptions::default() };
+                let serial = Pipeline::new(&workload.system.fault_tree, &components)
+                    .unwrap()
+                    .evaluate(&*lethal, &options)
+                    .unwrap();
                 assert_eq!(
                     parallel.yield_lower_bound.to_bits(),
                     serial.yield_lower_bound.to_bits()
@@ -1140,13 +1009,14 @@ mod tests {
         assert_eq!(full.baseline.as_deref(), Some("base.json"));
         assert!(full.scratch_deltas);
         assert_eq!(full.options, CompileOptions::new().with_node_budget(4_000_000));
-        // Unknown flags — including the removed compile-thread and
-        // complemented-edge knobs — and missing or malformed values are
-        // errors, not warnings.
+        // Unknown flags — including the removed compile-thread,
+        // complemented-edge and op-cache knobs — and missing or malformed
+        // values are errors, not warnings.
         for (argv, expected) in [
             (&["--bogus"][..], "unknown argument `--bogus`"),
             (&["--compile-threads", "4"][..], "unknown argument `--compile-threads`"),
             (&["--no-complement-edges"][..], "unknown argument `--no-complement-edges`"),
+            (&["--op-cache-capacity", "64"][..], "unknown argument `--op-cache-capacity`"),
             (&["--threads", "abc"][..], "--threads requires an integer"),
             (&["--threads"][..], "--threads requires an integer"),
             (&["--max-components", "-1"][..], "--max-components requires an integer"),
@@ -1156,8 +1026,7 @@ mod tests {
             assert_eq!(parse(argv).unwrap_err(), expected, "{argv:?}");
         }
         assert!(cli_usage("table4").starts_with("Usage: table4 "));
-        assert!(cli_usage("table4").contains("\n  --op-cache-capacity N\n"));
-        assert!(cli_usage("table4").contains("--node-budget"));
+        assert!(cli_usage("table4").contains("\n  --node-budget N "));
     }
 
     #[test]

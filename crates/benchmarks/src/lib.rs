@@ -29,24 +29,41 @@ pub use esen::esen;
 pub use ms::ms;
 pub use system::BenchmarkSystem;
 
-/// The benchmark instances evaluated by the paper (Table 1).
-///
-/// Returns the systems in the same order as the paper's tables:
-/// MS2 … MS10 followed by ESEN4x1 … ESEN8x4.
+/// The names of the benchmark instances evaluated by the paper (Table 1),
+/// in the order of the paper's tables: MS2 … MS10 followed by
+/// ESEN4x1 … ESEN8x4.
+pub const PAPER_BENCHMARK_NAMES: [&str; 11] = [
+    "MS2", "MS4", "MS6", "MS8", "MS10", "ESEN4x1", "ESEN4x2", "ESEN4x4", "ESEN8x1", "ESEN8x2",
+    "ESEN8x4",
+];
+
+/// Builds the paper benchmark named `name` (one of
+/// [`PAPER_BENCHMARK_NAMES`]) without building the others, or `None` for
+/// an unknown name.
+pub fn paper_benchmark(name: &str) -> Option<BenchmarkSystem> {
+    Some(match name {
+        "MS2" => ms(2),
+        "MS4" => ms(4),
+        "MS6" => ms(6),
+        "MS8" => ms(8),
+        "MS10" => ms(10),
+        "ESEN4x1" => esen(4, 1),
+        "ESEN4x2" => esen(4, 2),
+        "ESEN4x4" => esen(4, 4),
+        "ESEN8x1" => esen(8, 1),
+        "ESEN8x2" => esen(8, 2),
+        "ESEN8x4" => esen(8, 4),
+        _ => return None,
+    })
+}
+
+/// The benchmark instances evaluated by the paper (Table 1), in the order
+/// of [`PAPER_BENCHMARK_NAMES`].
 pub fn paper_benchmarks() -> Vec<BenchmarkSystem> {
-    vec![
-        ms(2),
-        ms(4),
-        ms(6),
-        ms(8),
-        ms(10),
-        esen(4, 1),
-        esen(4, 2),
-        esen(4, 4),
-        esen(8, 1),
-        esen(8, 2),
-        esen(8, 4),
-    ]
+    PAPER_BENCHMARK_NAMES
+        .iter()
+        .map(|name| paper_benchmark(name).expect("every listed name has a constructor"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -74,6 +91,10 @@ mod tests {
             assert_eq!(&system.name, name);
             assert_eq!(system.num_components(), *count, "{name}");
         }
+        for name in PAPER_BENCHMARK_NAMES {
+            assert_eq!(paper_benchmark(name).map(|b| b.name).as_deref(), Some(name));
+        }
+        assert!(paper_benchmark("MS99").is_none());
     }
 
     #[test]

@@ -206,20 +206,6 @@ struct CompiledModel {
     retained: Option<RetainedRobdd>,
 }
 
-fn new_bdd_manager(num_levels: usize, options: &CompileOptions) -> BddManager {
-    match options.op_cache_capacity() {
-        0 => BddManager::new(num_levels),
-        cap => BddManager::with_cache_capacity(num_levels, cap, cap),
-    }
-}
-
-fn new_mdd_manager(domains: Vec<usize>, options: &CompileOptions) -> MddManager {
-    match options.op_cache_capacity() {
-        0 => MddManager::new(domains),
-        cap => MddManager::with_cache_capacity(domains, cap, cap),
-    }
-}
-
 /// Converts the coded ROBDD `root` of `g` into a fresh ROMDD manager.
 /// The governor, if any, is armed on that manager for the conversion
 /// only. Returns the manager, the ROMDD root and the conversion time.
@@ -229,12 +215,11 @@ fn convert(
     bdd: &BddManager,
     root: BddId,
     conversion: ConversionAlgorithm,
-    options: &CompileOptions,
     governor: Option<&Governor>,
 ) -> (MddManager, MddId, Duration) {
     let layout = g.layout(ordering);
     let start = Instant::now();
-    let mut mdd = new_mdd_manager(g.mdd_domains(ordering), options);
+    let mut mdd = MddManager::new(g.mdd_domains(ordering));
     mdd.set_governor(governor.cloned());
     let romdd_root = match conversion {
         ConversionAlgorithm::TopDown => mdd.from_coded_bdd(bdd, root, &layout),
@@ -274,7 +259,6 @@ impl CompiledModel {
                 truncation,
                 spec,
                 conversion,
-                options,
                 retain_robdd,
                 governor.as_ref(),
             )
@@ -289,7 +273,6 @@ impl CompiledModel {
         truncation: usize,
         spec: OrderingSpec,
         conversion: ConversionAlgorithm,
-        options: &CompileOptions,
         retain_robdd: bool,
         governor: Option<&Governor>,
     ) -> Result<(Self, MddManager, MddId), CoreError> {
@@ -298,7 +281,7 @@ impl CompiledModel {
 
         // Coded ROBDD of G.
         let robdd_start = Instant::now();
-        let mut bdd = new_bdd_manager(g.netlist().num_inputs(), options);
+        let mut bdd = BddManager::new(g.netlist().num_inputs());
         bdd.set_governor(governor.cloned());
         let mut build = bdd.build_netlist(g.netlist(), &ordering.var_level);
 
@@ -331,7 +314,7 @@ impl CompiledModel {
         let robdd_time = robdd_start.elapsed();
 
         let (mdd, romdd_root, conversion_time) =
-            convert(&g, &ordering, &bdd, build.root, conversion, options, governor);
+            convert(&g, &ordering, &bdd, build.root, conversion, governor);
 
         // The compile completed within its limits: disarm before the
         // manager outlives this governed run (a retained manager must not
@@ -455,15 +438,8 @@ impl CompiledModel {
             let robdd_start = Instant::now();
             let build = retained.bdd.build_netlist(g.netlist(), &ordering.var_level);
             let robdd_time = robdd_start.elapsed();
-            let converted = convert(
-                &g,
-                &ordering,
-                &retained.bdd,
-                build.root,
-                conversion,
-                options,
-                governor.as_ref(),
-            );
+            let converted =
+                convert(&g, &ordering, &retained.bdd, build.root, conversion, governor.as_ref());
             (build, robdd_time, converted)
         });
         retained.bdd.set_governor(None);
@@ -623,19 +599,13 @@ impl Pipeline {
         Ok(pipeline)
     }
 
-    /// Sets the kernel knobs (op-cache capacity, resource limits) every
-    /// subsequent compilation runs under. These are resource knobs, not
-    /// analysis options: every yield, error bound, truncation and ROMDD
-    /// node count is bit-identical at every setting, so they deliberately
-    /// live outside [`AnalysisOptions`] and never participate in model
-    /// reuse keys.
+    /// Sets the resource limits every subsequent compilation runs under.
+    /// These are resource knobs, not analysis options: every yield, error
+    /// bound, truncation and ROMDD node count is bit-identical at every
+    /// setting, so they deliberately live outside [`AnalysisOptions`] and
+    /// never participate in model reuse keys.
     pub fn set_options(&mut self, options: CompileOptions) {
         self.options = options;
-    }
-
-    /// The kernel knobs compilations run under.
-    pub fn options(&self) -> CompileOptions {
-        self.options
     }
 
     /// Installs a cooperative cancellation token checked by every
@@ -829,23 +799,6 @@ impl Pipeline {
             lethal,
             options: AnalysisOptions { epsilon, fixed_truncation: None, ..*options },
         }))
-    }
-
-    /// Sweeps a set of lethal-defect distributions (e.g. a λ or α grid)
-    /// under fixed options.
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::sweep`].
-    pub fn sweep_distributions<'a, I>(
-        &mut self,
-        lethals: I,
-        options: &AnalysisOptions,
-    ) -> Result<Vec<YieldReport>, CoreError>
-    where
-        I: IntoIterator<Item = &'a dyn DefectDistribution>,
-    {
-        self.sweep(lethals.into_iter().map(|lethal| SweepPoint { lethal, options: *options }))
     }
 
     /// Incremental recompilations performed by
@@ -1553,19 +1506,16 @@ mod tests {
     }
 
     #[test]
-    fn sweep_distributions_and_specs() {
+    fn sweep_over_distributions_reuses_one_model_per_spec() {
         let f = figure2();
         let comps = ComponentProbabilities::new(vec![0.25, 0.35, 0.4]).unwrap();
         let nb1 = NegativeBinomial::new(0.5, 4.0).unwrap();
         let nb2 = NegativeBinomial::new(1.5, 4.0).unwrap();
         let options = AnalysisOptions { epsilon: 1e-3, ..AnalysisOptions::default() };
         let mut pipeline = Pipeline::new(&f, &comps).unwrap();
-        let reports = pipeline
-            .sweep_distributions(
-                [&nb1 as &dyn DefectDistribution, &nb2 as &dyn DefectDistribution],
-                &options,
-            )
-            .unwrap();
+        let points = [&nb1, &nb2]
+            .map(|lethal| SweepPoint { lethal: lethal as &dyn DefectDistribution, options });
+        let reports = pipeline.sweep(points).unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(pipeline.compiled_models(), 1);
         assert!(reports[0].yield_lower_bound > reports[1].yield_lower_bound);

@@ -10,10 +10,10 @@
 //! base compiled diagram resident and answer the whole family
 //! incrementally:
 //!
-//! * **swap-only** deltas (component-probability overrides, lethality
-//!   flips, wholesale component-model replacement) change only the
-//!   probability vectors attached to the diagram levels — they are
-//!   evaluated on the resident ROMDD with zero kernel work;
+//! * **swap-only** deltas (component-probability overrides and lethality
+//!   flips) change only the probability vectors attached to the diagram
+//!   levels — they are evaluated on the resident ROMDD with zero kernel
+//!   work;
 //! * **structural** deltas (a fault-tree variant, e.g. one module
 //!   subtree swapped via [`swap_subtree`]) recompile only the affected
 //!   cofactor: the variant netlist is rebuilt against the retained ROBDD
@@ -49,7 +49,6 @@ use crate::error::CoreError;
 pub struct SystemDelta {
     name: String,
     component_overrides: Vec<(usize, f64)>,
-    components: Option<ComponentProbabilities>,
     fault_tree: Option<Netlist>,
 }
 
@@ -57,12 +56,7 @@ impl SystemDelta {
     /// Starts an empty delta (evaluates identically to the base system)
     /// with a human-readable name used in reports and sweep labels.
     pub fn named(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            component_overrides: Vec::new(),
-            components: None,
-            fault_tree: None,
-        }
+        Self { name: name.into(), component_overrides: Vec::new(), fault_tree: None }
     }
 
     /// The variant's name.
@@ -78,14 +72,6 @@ impl SystemDelta {
     #[must_use]
     pub fn with_component_probability(mut self, component: usize, probability: f64) -> Self {
         self.component_overrides.push((component, probability));
-        self
-    }
-
-    /// Replaces the component probability model wholesale (per-component
-    /// overrides are applied on top of this replacement).
-    #[must_use]
-    pub fn with_components(mut self, components: ComponentProbabilities) -> Self {
-        self.components = Some(components);
         self
     }
 
@@ -139,11 +125,10 @@ impl SystemDelta {
         &self,
         base: &ComponentProbabilities,
     ) -> Result<ComponentProbabilities, CoreError> {
-        let start = self.components.as_ref().unwrap_or(base);
         if self.component_overrides.is_empty() {
-            return Ok(start.clone());
+            return Ok(base.clone());
         }
-        let mut raw = start.raw_slice().to_vec();
+        let mut raw = base.raw_slice().to_vec();
         for &(component, probability) in &self.component_overrides {
             if component >= raw.len() {
                 return Err(CoreError::InvalidDelta(format!(

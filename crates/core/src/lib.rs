@@ -64,7 +64,6 @@ pub mod delta;
 pub mod encode;
 pub mod error;
 pub mod exact;
-pub mod reliability;
 pub mod structures;
 
 pub use analysis::{
@@ -75,5 +74,4 @@ pub use degrade::{DegradeLadder, DegradeStep, Fidelity};
 pub use delta::{swap_subtree, SystemDelta};
 pub use encode::GeneralizedFaultTree;
 pub use error::CoreError;
-pub use reliability::{analyze_reliability, ReliabilityReport};
 pub use socy_dd::{CancelToken, CompileOptions, DdError, DdStats};

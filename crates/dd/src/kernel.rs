@@ -341,12 +341,6 @@ impl DdKernel {
         self.op_cache.clear();
     }
 
-    /// Current slot count of the operation cache (it may have grown from
-    /// its initial capacity under conflict pressure).
-    pub fn op_cache_capacity(&self) -> usize {
-        self.op_cache.capacity()
-    }
-
     /// Current kernel statistics.
     pub fn stats(&self) -> DdStats {
         DdStats {

@@ -14,42 +14,31 @@
 //! participate in model-reuse or cache keys.
 
 /// Knobs of a decision-diagram compilation, carried as one value through
-/// the pipeline/executor/service layers: the op-cache capacity, the node
-/// budget, the deadline and the fault-injection fail point. The first
-/// three are also CLI flags ([`CompileOptions::CLI_HELP`]).
+/// the pipeline/executor/service layers: the node budget, the deadline
+/// and the fault-injection fail point. The first two are also CLI flags
+/// ([`CompileOptions::CLI_HELP`]).
 ///
 /// Built with builder-style `with_*` constructors:
 ///
 /// ```
 /// use socy_dd::CompileOptions;
 ///
-/// let options = CompileOptions::new().with_op_cache_capacity(1 << 12).with_node_budget(1 << 20);
-/// assert_eq!(options.op_cache_capacity(), 1 << 12);
+/// let options = CompileOptions::new().with_node_budget(1 << 20).with_deadline_ms(250);
 /// assert_eq!(options.node_budget(), 1 << 20);
+/// assert_eq!(options.deadline_ms(), 250);
 /// assert_eq!(CompileOptions::default(), CompileOptions::new());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CompileOptions {
-    op_cache_capacity: usize,
     node_budget: usize,
     deadline_ms: u64,
     fail_after: u64,
 }
 
 impl CompileOptions {
-    /// The default options: manager-default op-cache capacity, no
-    /// resource limits.
+    /// The default options: no resource limits.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Pins the operation-cache capacity (slots, rounded to a power of
-    /// two) of the managers created for a compilation. `0` (the default)
-    /// keeps the managers' adaptive default capacity.
-    #[must_use]
-    pub fn with_op_cache_capacity(mut self, slots: usize) -> Self {
-        self.op_cache_capacity = slots;
-        self
     }
 
     /// Caps the nodes a single governed compilation may materialise
@@ -58,8 +47,6 @@ impl CompileOptions {
     /// compilation with a typed `BudgetExceeded` error — never a panic or
     /// an allocation failure — and callers degrade or answer with
     /// Monte-Carlo bounds (see the `soc-yield-core` degradation ladder).
-    /// Unlike the other knobs this one is *not* representation-neutral:
-    /// it decides whether a compilation completes at all.
     #[must_use]
     pub fn with_node_budget(mut self, nodes: usize) -> Self {
         self.node_budget = nodes;
@@ -94,11 +81,6 @@ impl CompileOptions {
         1
     }
 
-    /// Pinned op-cache capacity in slots (`0` = manager default).
-    pub fn op_cache_capacity(&self) -> usize {
-        self.op_cache_capacity
-    }
-
     /// Node budget of a single compilation (`0` = unbounded).
     pub fn node_budget(&self) -> usize {
         self.node_budget
@@ -119,10 +101,8 @@ impl CompileOptions {
     /// the `serve` binary feed their argument loops through this single
     /// helper, so a future knob is added (and documented) in exactly one
     /// place.
-    pub const CLI_HELP: &'static str = "  --op-cache-capacity N
-                       pin the managers' operation-cache capacity in slots
-                       (0 = adaptive default)
-  --node-budget N      cap the nodes one compilation may materialise
+    pub const CLI_HELP: &'static str =
+        "  --node-budget N      cap the nodes one compilation may materialise
                        (0 = unbounded); over-budget compilations degrade
                        to Monte-Carlo bounds instead of erroring
   --deadline-ms N      wall-clock deadline per compilation in milliseconds
@@ -155,9 +135,6 @@ impl CompileOptions {
                 .ok_or_else(|| format!("{flag} requires an integer"))
         };
         match arg {
-            "--op-cache-capacity" => {
-                *self = self.with_op_cache_capacity(integer("--op-cache-capacity")?);
-            }
             "--node-budget" => *self = self.with_node_budget(integer("--node-budget")?),
             "--deadline-ms" => {
                 *self = self.with_deadline_ms(integer("--deadline-ms")? as u64);
@@ -175,11 +152,9 @@ mod tests {
     #[test]
     fn builders_and_getters_round_trip() {
         let options = CompileOptions::new()
-            .with_op_cache_capacity(1 << 12)
             .with_node_budget(1 << 20)
             .with_deadline_ms(250)
             .with_fail_after(17);
-        assert_eq!(options.op_cache_capacity(), 1 << 12);
         assert_eq!(options.node_budget(), 1 << 20);
         assert_eq!(options.deadline_ms(), 250);
         assert_eq!(options.fail_after(), 17);
@@ -189,18 +164,12 @@ mod tests {
     #[test]
     fn cli_flags_cover_every_knob() {
         let mut options = CompileOptions::new();
-        let argv = ["--op-cache-capacity", "64", "--node-budget", "4096", "--deadline-ms", "1500"];
+        let argv = ["--node-budget", "4096", "--deadline-ms", "1500"];
         let mut args = argv.iter().map(ToString::to_string);
         while let Some(arg) = args.next() {
             assert_eq!(options.parse_cli_flag(&arg, &mut args), Ok(true), "{arg}");
         }
-        assert_eq!(
-            options,
-            CompileOptions::new()
-                .with_op_cache_capacity(64)
-                .with_node_budget(4096)
-                .with_deadline_ms(1500)
-        );
+        assert_eq!(options, CompileOptions::new().with_node_budget(4096).with_deadline_ms(1500));
     }
 
     #[test]
@@ -215,6 +184,7 @@ mod tests {
         let mut stale = vec!["4".to_string()].into_iter();
         assert_eq!(options.parse_cli_flag("--compile-threads", &mut stale), Ok(false));
         assert_eq!(options.parse_cli_flag("--no-complement-edges", &mut stale), Ok(false));
+        assert_eq!(options.parse_cli_flag("--op-cache-capacity", &mut stale), Ok(false));
         assert_eq!(options, CompileOptions::new(), "failed parses leave the options unchanged");
     }
 
@@ -222,10 +192,10 @@ mod tests {
     fn every_cli_help_flag_line_is_indented() {
         let flags: Vec<&str> =
             CompileOptions::CLI_HELP.lines().filter(|l| l.trim_start().starts_with("--")).collect();
-        assert_eq!(flags.len(), 3, "{}", CompileOptions::CLI_HELP);
+        assert_eq!(flags.len(), 2, "{}", CompileOptions::CLI_HELP);
         for line in flags {
             assert!(line.starts_with("  --"), "flag line lost its indent: {line:?}");
         }
-        assert!(CompileOptions::CLI_HELP.starts_with("  --op-cache-capacity N"));
+        assert!(CompileOptions::CLI_HELP.starts_with("  --node-budget N"));
     }
 }

@@ -4,9 +4,9 @@
 //! `(system, ordering spec, conversion)` configuration is compiled into a
 //! [`Pipeline`], every further design point is a linear-time probability
 //! walk. [`PipelineLru`] makes that reuse explicit for long-running
-//! callers (the `socy-serve` daemon, the bench `Runner`): pipelines are
-//! retained across requests and evicted least-recently-used when the sum
-//! of their **live** (post-GC) ROMDD nodes exceeds a configurable budget.
+//! callers (the `socy-serve` daemon): pipelines are retained across
+//! requests and evicted least-recently-used when the sum of their
+//! **live** (post-GC) ROMDD nodes exceeds a configurable budget.
 //!
 //! Charging the budget against [`Pipeline::live_nodes`] — not the
 //! `peak_nodes` high-water mark — is deliberate: peaks measure transient
@@ -145,42 +145,6 @@ impl<K: Eq> PipelineLru<K> {
             None => self.entries.push(Entry { key, pipeline, last_used: self.clock }),
         }
         self.enforce_budget();
-    }
-
-    /// Looks up `key`; on a miss, builds a pipeline with `build`,
-    /// inserts it, and returns it. Exactly one hit or one miss is
-    /// counted per call (unlike a `get` + `insert` + `get` sequence).
-    /// The entry handed back is never a victim of the eviction the
-    /// insertion may trigger.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build`'s error; nothing is inserted in that case.
-    pub fn get_or_try_insert_with<E>(
-        &mut self,
-        key: &K,
-        build: impl FnOnce() -> Result<Pipeline, E>,
-    ) -> Result<&mut Pipeline, E>
-    where
-        K: Clone,
-    {
-        self.clock += 1;
-        if self.contains(key) {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            let pipeline = build()?;
-            self.stats.insertions += 1;
-            self.entries.push(Entry { key: key.clone(), pipeline, last_used: self.clock });
-            self.enforce_budget();
-        }
-        let clock = self.clock;
-        let entry =
-            self.entries.iter_mut().find(|e| e.key == *key).expect(
-                "resident: just found or just inserted, and the newest entry is never evicted",
-            );
-        entry.last_used = clock;
-        Ok(&mut entry.pipeline)
     }
 
     /// Drops every resident pipeline (counters are kept).

@@ -38,8 +38,8 @@ pub use matrix::{
     TruncationRule,
 };
 pub use run::{
-    effective_threads, ChunkError, CompiledPipeline, DdAggregate, PointOutcome, SweepError,
-    SweepOutcome, SweepSummary, WorkerSummary,
+    effective_threads, panic_message, ChunkError, CompiledPipeline, DdAggregate, PointOutcome,
+    SweepError, SweepOutcome, SweepSummary, WorkerSummary,
 };
 
 // The executor moves pipelines and reports across threads and shares the

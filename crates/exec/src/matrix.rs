@@ -247,11 +247,11 @@ impl fmt::Display for PointLabels {
 pub struct SweepMatrix {
     /// The blocks, expanded in insertion order.
     pub blocks: Vec<SweepBlock>,
-    /// The kernel knobs (op-cache capacity, resource limits) every
-    /// chunk's compilation runs under, as one [`CompileOptions`] value.
-    /// Resource knobs, never an analysis axis: yields, error bounds,
-    /// truncations and ROMDD node counts are bit-identical at every
-    /// setting. Orthogonal to the sweep's worker count.
+    /// The resource limits every chunk's compilation runs under, as one
+    /// [`CompileOptions`] value. Resource knobs, never an analysis axis:
+    /// yields, error bounds, truncations and ROMDD node counts are
+    /// bit-identical at every setting. Orthogonal to the sweep's worker
+    /// count.
     ///
     /// The resource limits ([`CompileOptions::node_budget`] /
     /// [`CompileOptions::deadline_ms`]) apply **per chunk compilation**

@@ -95,8 +95,9 @@ impl Chunk<'_> {
 
 type ChunkResult = Result<(Vec<YieldReport>, Option<Pipeline>), ChunkFailure>;
 
-/// Extracts the human-readable message of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts the human-readable message of a panic payload: `panic: <text>`
+/// for string payloads.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panic: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -80,22 +80,6 @@ impl MddManager {
         Self { dd, domains, scratch: Default::default(), conv: Default::default() }
     }
 
-    /// Creates a manager whose operation cache starts with `capacity`
-    /// slots and may grow up to `max_capacity` (both rounded to powers of
-    /// two; equal bounds pin the size). The cache is lossy, so any
-    /// capacity — even 1 — produces identical diagrams; smaller caches
-    /// only recompute more.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any domain size is zero.
-    pub fn with_cache_capacity(domains: Vec<usize>, capacity: usize, max_capacity: usize) -> Self {
-        assert!(domains.iter().all(|&d| d >= 1), "every domain must have at least one value");
-        let arities = domains.iter().map(|&d| d as u32).collect();
-        let dd = DdKernel::with_cache_capacity(arities, capacity, max_capacity);
-        Self { dd, domains, scratch: Default::default(), conv: Default::default() }
-    }
-
     /// The FALSE terminal.
     pub fn zero(&self) -> MddId {
         MddId::ZERO

@@ -23,8 +23,7 @@ pub mod protocol;
 pub mod service;
 
 pub use protocol::{
-    CacheBody, DistributionSpec, EvalRequest, GovernorBody, OptionsBody, ReportBody, Request,
-    Response,
+    CacheBody, DistributionSpec, EvalRequest, GovernorBody, ReportBody, Request, Response,
 };
 pub use service::{
     conversion_label, parse_conversion, resolve_delta, resolve_distribution, resolve_system,

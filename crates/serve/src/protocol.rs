@@ -132,7 +132,8 @@ pub struct DistributionSpec {
 /// anchor checker.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct Response {
-    /// The request's `id`, echoed (null for unparseable requests).
+    /// The request's `id`, echoed whenever the line is a JSON object with
+    /// a string `id` (null for lines that are not JSON).
     pub id: Option<String>,
     /// `analyze`, `sweep`, `stats` or `error`.
     pub kind: String,
@@ -154,9 +155,6 @@ pub struct Response {
     pub panicked: Option<bool>,
     /// Total requests the service has accepted (stats responses).
     pub requests_served: Option<u64>,
-    /// The service's active [`soc_yield_core::CompileOptions`] knobs
-    /// (stats responses).
-    pub options: Option<OptionsBody>,
     /// Resource-governor counters (stats responses).
     pub governor: Option<GovernorBody>,
     /// Pipeline-cache counters at response time.
@@ -175,20 +173,6 @@ pub struct GovernorBody {
     pub degraded: u64,
     /// Evaluations aborted by a batch cancellation.
     pub cancelled: u64,
-}
-
-/// The compile-option knobs echoed on stats responses — the wire view of
-/// [`soc_yield_core::CompileOptions`].
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct OptionsBody {
-    /// Pinned op-cache capacity in slots (`0` = manager default).
-    pub op_cache_capacity: usize,
-}
-
-impl From<soc_yield_core::CompileOptions> for OptionsBody {
-    fn from(options: soc_yield_core::CompileOptions) -> Self {
-        Self { op_cache_capacity: options.op_cache_capacity() }
-    }
 }
 
 impl Response {
@@ -210,7 +194,6 @@ impl Response {
             error: None,
             panicked: None,
             requests_served: None,
-            options: None,
             governor: None,
             cache: Some(cache),
             latency_seconds: latency.as_secs_f64(),
@@ -235,7 +218,6 @@ impl Response {
             error: Some(message),
             panicked: Some(panicked),
             requests_served: None,
-            options: None,
             governor: None,
             cache,
             latency_seconds: latency.as_secs_f64(),
@@ -246,7 +228,6 @@ impl Response {
     pub fn stats(
         id: Option<String>,
         requests_served: u64,
-        options: OptionsBody,
         governor: GovernorBody,
         cache: CacheBody,
         latency: Duration,
@@ -260,7 +241,6 @@ impl Response {
             error: None,
             panicked: None,
             requests_served: Some(requests_served),
-            options: Some(options),
             governor: Some(governor),
             cache: Some(cache),
             latency_seconds: latency.as_secs_f64(),
@@ -278,7 +258,6 @@ impl Response {
             error: None,
             panicked: None,
             requests_served: None,
-            options: None,
             governor: None,
             cache: Some(cache),
             latency_seconds: latency.as_secs_f64(),

@@ -31,24 +31,22 @@ use soc_yield_core::{
     AnalysisOptions, CancelToken, CompileOptions, ConversionAlgorithm, CoreError, DdError,
     DegradeLadder, Pipeline, SystemDelta, YieldReport,
 };
-use socy_benchmarks::paper_benchmarks;
+use socy_benchmarks::{paper_benchmark, PAPER_BENCHMARK_NAMES};
 use socy_defect::{
     ComponentProbabilities, DefectDistribution, Empirical, NegativeBinomial, Poisson,
 };
 use socy_exec::{
-    NamedDistribution, PipelineLru, SharedDistribution, SweepBlock, SweepMatrix, SystemSpec,
-    TruncationRule,
+    panic_message, NamedDistribution, PipelineLru, SharedDistribution, SweepBlock, SweepMatrix,
+    SystemSpec, TruncationRule,
 };
 use socy_faulttree::Netlist;
 use socy_ordering::OrderingSpec;
 
 use crate::protocol::{
-    CacheBody, DistributionSpec, EvalRequest, GovernorBody, OptionsBody, ReportBody, Request,
-    Response,
+    CacheBody, DistributionSpec, EvalRequest, GovernorBody, ReportBody, Request, Response,
 };
 
-/// Default live-node budget of the pipeline cache (the bench harness uses
-/// the same bound for its `Runner`).
+/// Default live-node budget of the pipeline cache.
 pub const DEFAULT_NODE_BUDGET: usize = 1 << 16;
 
 /// Construction parameters of a [`YieldService`].
@@ -58,10 +56,10 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Live-node budget of the pipeline cache (`None` = unbounded).
     pub node_budget: Option<usize>,
-    /// The kernel knobs every compilation runs under (op-cache capacity,
-    /// resource limits), as one [`CompileOptions`] value. Never part of
-    /// the cache key: compiled diagrams and yields are bit-identical at
-    /// every setting (see [`SweepMatrix::options`]).
+    /// The resource limits every compilation runs under, as one
+    /// [`CompileOptions`] value. Never part of the cache key: compiled
+    /// diagrams and yields are bit-identical at every setting (see
+    /// [`SweepMatrix::options`]).
     pub options: CompileOptions,
 }
 
@@ -149,9 +147,11 @@ pub fn resolve_system(system: &Value) -> Result<(SystemSpec, String), String> {
                 v.as_f64().ok_or_else(|| "field `lethality` must be a number".to_string())?
             }
         };
-        let found = paper_benchmarks().into_iter().find(|b| b.name == name).ok_or_else(|| {
-            let known: Vec<String> = paper_benchmarks().into_iter().map(|b| b.name).collect();
-            format!("unknown benchmark `{name}` (expected one of {})", known.join(", "))
+        let found = paper_benchmark(name).ok_or_else(|| {
+            format!(
+                "unknown benchmark `{name}` (expected one of {})",
+                PAPER_BENCHMARK_NAMES.join(", ")
+            )
         })?;
         let components = found.component_probabilities(lethality).map_err(|e| e.to_string())?;
         let identity = format!("benchmark:{name}:pl={:016x}", lethality.to_bits());
@@ -411,17 +411,6 @@ fn report_body(
     }
 }
 
-/// Extracts the human-readable message of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic with a non-string payload".to_string()
-    }
-}
-
 /// Bookkeeping for one uncached request while its block runs through the
 /// executor. Carries enough of the resolved request (system, wire
 /// distribution, rules) to retry a resource-failed evaluation as a
@@ -478,17 +467,6 @@ impl YieldService {
         self.batch_cancel.clone()
     }
 
-    /// Resource-governance counters accumulated over the service's
-    /// lifetime (also carried on `stats` responses).
-    pub fn governor_counters(&self) -> GovernorBody {
-        self.governor
-    }
-
-    /// The compile options every compilation runs under.
-    pub fn options(&self) -> CompileOptions {
-        self.options
-    }
-
     /// The pipeline cache (for inspection; the service owns mutation).
     pub fn cache(&self) -> &PipelineLru<PipelineKey> {
         &self.cache
@@ -523,14 +501,20 @@ impl YieldService {
         for (at, line) in lines.iter().enumerate() {
             let started = Instant::now();
             self.requests_served += 1;
-            let request =
-                serde_json::from_str(line).map_err(|e| format!("invalid request: {e}")).and_then(
-                    |value| Request::from_json(&value).map_err(|e| format!("invalid request: {e}")),
-                );
+            // A line that parses as JSON but fails the schema still
+            // echoes its string `id`; a line that is not JSON has none.
+            let request = serde_json::from_str(line)
+                .map_err(|e| (None, format!("invalid request: {e}")))
+                .and_then(|value| {
+                    Request::from_json(&value).map_err(|e| {
+                        let id = value.get("id").and_then(Value::as_str).map(str::to_string);
+                        (id, format!("invalid request: {e}"))
+                    })
+                });
             match request {
-                Err(message) => {
+                Err((id, message)) => {
                     responses[at] = Some(Response::failure(
-                        None,
+                        id,
                         message,
                         false,
                         Some(self.cache_body()),
@@ -559,7 +543,6 @@ impl YieldService {
             responses[at] = Some(Response::stats(
                 id,
                 self.requests_served,
-                OptionsBody::from(self.options),
                 self.governor,
                 self.cache_body(),
                 started.elapsed(),

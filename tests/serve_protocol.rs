@@ -227,22 +227,6 @@ fn delta_requests_validate_their_shape() {
 }
 
 #[test]
-fn stats_responses_echo_the_active_compile_options() {
-    let threads = std::env::var("SOCY_TEST_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(2);
-    let mut service = YieldService::new(ServiceConfig {
-        threads,
-        options: socy_serve::CompileOptions::new().with_op_cache_capacity(1 << 12),
-        ..ServiceConfig::default()
-    });
-    let stats = service.handle_line(r#"{"type":"stats","id":"o"}"#);
-    assert!(stats.ok);
-    let line = stats.to_json_line();
-    // The whole echo: compilation is sequential and every ROBDD edge is
-    // plain, so the op-cache capacity is the only knob left to echo.
-    assert!(line.contains(r#""options":{"op_cache_capacity":4096}"#), "{line}");
-}
-
-#[test]
 fn panicking_request_fails_alone_while_the_batch_and_daemon_survive() {
     let mut service = service();
     // One batch: a panicking (uncached) request next to a healthy one.
@@ -303,7 +287,13 @@ fn malformed_and_unresolvable_requests_answer_with_errors() {
     );
     assert!(!unknown.ok);
     assert_eq!(unknown.id.as_deref(), Some("u"));
-    assert!(unknown.error.as_ref().unwrap().contains("unknown benchmark"));
+    assert_eq!(
+        unknown.error.as_deref(),
+        Some(
+            "unknown benchmark `MS99` (expected one of MS2, MS4, MS6, MS8, MS10, ESEN4x1, \
+             ESEN4x2, ESEN4x4, ESEN8x1, ESEN8x2, ESEN8x4)"
+        )
+    );
 
     let bad_ordering = service.handle_line(
         r#"{"id":"o","system":{"benchmark":"MS2"},"distribution":{"kind":"poisson","lambda":1.0},"ordering":"q/zz"}"#,
@@ -311,8 +301,24 @@ fn malformed_and_unresolvable_requests_answer_with_errors() {
     assert!(!bad_ordering.ok);
     assert!(bad_ordering.error.as_ref().unwrap().contains("unknown ordering label"));
 
+    // Schema errors on a JSON object echo its string `id`; a line that
+    // is not JSON cannot.
+    for (line, id) in [
+        (r#"{"type":"analyze","id":"e1","system":{"benchmark":"MS2"}}"#, Some("e1")),
+        (
+            r#"{"type":"analyze","id":"e2","system":{"benchmark":"MS2"},"distribution":{"kind":"poisson","lambda":1.0},"epsilon":"x"}"#,
+            Some("e2"),
+        ),
+        (r#"{"type":"analyze","id":"e3","system":"#, None),
+    ] {
+        let schema = service.handle_line(line);
+        assert!(!schema.ok);
+        assert_eq!(schema.id.as_deref(), id, "{line}");
+        assert!(schema.error.as_ref().unwrap().starts_with("invalid request"), "{line}");
+    }
+
     // Errors count as served requests but never touch the cache.
-    assert_eq!(service.requests_served(), 3);
+    assert_eq!(service.requests_served(), 6);
     assert_eq!(service.cache().len(), 0);
 
     // Responses always serialize to a single line.
