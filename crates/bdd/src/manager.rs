@@ -50,10 +50,6 @@ impl fmt::Display for BddId {
     }
 }
 
-/// Level used internally for terminal nodes (greater than every variable
-/// level, so terminals sort below all variables).
-pub(crate) const TERMINAL_LEVEL: u32 = socy_dd::TERMINAL_LEVEL;
-
 /// A manager owning a forest of ROBDD nodes over a fixed number of
 /// variable levels.
 ///
@@ -64,8 +60,8 @@ pub(crate) const TERMINAL_LEVEL: u32 = socy_dd::TERMINAL_LEVEL;
 #[derive(Debug, Clone)]
 pub struct BddManager {
     pub(crate) dd: DdKernel,
-    /// Reusable stacks of the iterative apply machine (see
-    /// [`crate::apply`]).
+    /// Reusable request tables of the level-synchronous apply engine
+    /// (see [`crate::apply`]).
     pub(crate) scratch: crate::apply::ApplyScratch,
 }
 
@@ -74,7 +70,7 @@ impl BddManager {
     ///
     /// Every edge is plain: a node id denotes exactly the function of
     /// that node, and negation ([`BddManager::not`]) builds the negated
-    /// diagram through the memoized apply machine.
+    /// diagram through the apply engine.
     pub fn new(num_levels: usize) -> Self {
         Self { dd: DdKernel::new(vec![2; num_levels]), scratch: Default::default() }
     }

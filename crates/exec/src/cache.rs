@@ -147,11 +147,6 @@ impl<K: Eq> PipelineLru<K> {
         self.enforce_budget();
     }
 
-    /// Drops every resident pipeline (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     fn enforce_budget(&mut self) {
         let Some(budget) = self.budget else { return };
         while self.entries.len() > 1 && self.live_nodes() > budget {
@@ -262,7 +257,5 @@ mod tests {
         lru.insert("a", compiled_pipeline());
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.stats().insertions, 2);
-        lru.clear();
-        assert!(lru.is_empty());
     }
 }

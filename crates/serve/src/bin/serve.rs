@@ -65,10 +65,24 @@ fn main() -> ExitCode {
 
     let mut service = YieldService::new(config);
     let mut recorded: Vec<serde::Value> = Vec::new();
-    let mut batch: Vec<String> = Vec::new();
-    for line in io::stdin().lock().lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut batch: Vec<Vec<u8>> = Vec::new();
+    // Lines are read as bytes: a line that is not UTF-8 is a request like
+    // any other, answered with an `invalid request` error, and does not
+    // end the session.
+    let mut stdin = io::stdin().lock();
+    loop {
+        let mut line = Vec::new();
+        match stdin.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if line.ends_with(b"\n") {
+            line.pop();
+            if line.ends_with(b"\r") {
+                line.pop();
+            }
+        }
+        if std::str::from_utf8(&line).is_ok_and(|text| text.trim().is_empty()) {
             flush(&mut service, &mut batch, &mut recorded, record.is_some());
         } else {
             batch.push(line);
@@ -95,17 +109,14 @@ fn usage_error(message: &str) -> ExitCode {
 /// pipe-connected client can read the answers before sending more.
 fn flush(
     service: &mut YieldService,
-    batch: &mut Vec<String>,
+    batch: &mut Vec<Vec<u8>>,
     recorded: &mut Vec<serde::Value>,
     record: bool,
 ) {
     if batch.is_empty() {
         return;
     }
-    let responses = {
-        let lines: Vec<&str> = batch.iter().map(String::as_str).collect();
-        service.handle_batch(&lines)
-    };
+    let responses = service.handle_batch(batch);
     batch.clear();
     let stdout = io::stdout();
     let mut out = stdout.lock();

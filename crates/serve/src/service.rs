@@ -438,9 +438,8 @@ pub struct YieldService {
     requests_served: u64,
     governor: GovernorBody,
     /// Cancellation token of the batch currently being served; a `cancel`
-    /// request (or an external holder of [`YieldService::cancel_token`])
-    /// cancels it, failing the batch's in-flight and pending governed
-    /// compilations fast. Re-armed at the start of every batch.
+    /// request cancels it, failing the batch's in-flight and pending
+    /// governed compilations fast. Re-armed at the start of every batch.
     batch_cancel: CancelToken,
 }
 
@@ -455,16 +454,6 @@ impl YieldService {
             governor: GovernorBody::default(),
             batch_cancel: CancelToken::new(),
         }
-    }
-
-    /// The cancellation token of the batch currently being served.
-    /// Cancelling it (e.g. from a signal handler when the client hangs
-    /// up mid-batch) aborts the batch's governed compilations; the
-    /// affected requests answer with `cancelled` errors. The token is
-    /// replaced at the start of every batch, so a cancelled batch does
-    /// not poison the next one.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.batch_cancel.clone()
     }
 
     /// The pipeline cache (for inspection; the service owns mutation).
@@ -483,14 +472,15 @@ impl YieldService {
     }
 
     /// Serves a batch of request lines, returning one response per line
-    /// in request order.
+    /// in request order. Lines are bytes: one that is not valid UTF-8
+    /// answers an `invalid request` error with a null `id`.
     ///
     /// Within a batch: cache hits are answered on the calling thread;
     /// all misses are gathered into one [`SweepMatrix`] (one block per
     /// request, so a failing request cannot affect the others) and
     /// executed on the worker pool; `stats` requests are answered last,
     /// so their counters reflect the whole batch.
-    pub fn handle_batch(&mut self, lines: &[&str]) -> Vec<Response> {
+    pub fn handle_batch<L: AsRef<[u8]>>(&mut self, lines: &[L]) -> Vec<Response> {
         // Fresh token per batch: a cancelled batch must not poison the
         // next one.
         self.batch_cancel = CancelToken::new();
@@ -502,9 +492,13 @@ impl YieldService {
             let started = Instant::now();
             self.requests_served += 1;
             // A line that parses as JSON but fails the schema still
-            // echoes its string `id`; a line that is not JSON has none.
-            let request = serde_json::from_str(line)
+            // echoes its string `id`; a line that is not UTF-8 or not JSON
+            // has none.
+            let request = std::str::from_utf8(line.as_ref())
                 .map_err(|e| (None, format!("invalid request: {e}")))
+                .and_then(|line| {
+                    serde_json::from_str(line).map_err(|e| (None, format!("invalid request: {e}")))
+                })
                 .and_then(|value| {
                     Request::from_json(&value).map_err(|e| {
                         let id = value.get("id").and_then(Value::as_str).map(str::to_string);
