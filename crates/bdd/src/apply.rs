@@ -20,11 +20,19 @@
 //!   Each request at level ℓ reads its operands' nodes and expands into
 //!   its two cofactor subproblems. A terminal rule settles a child at
 //!   once; any other child is deduplicated into the table of its own,
-//!   strictly deeper, level. The request keeps only the two child
-//!   references; a level's operands and its dedupe table are released
-//!   as soon as the level is expanded.
-//! * **Bottom-up.** Levels are visited from the deepest one upwards,
-//!   and every request is built with `mk` from its children's results.
+//!   strictly deeper, level. The terminal rules count the open children
+//!   each deeper level is about to receive, so that level's dedupe index
+//!   is sized once before they are filed rather than doubled while they
+//!   are. The request keeps only the two child references; a level's
+//!   operands and its dedupe table are released as soon as the level is
+//!   expanded.
+//! * **Bottom-up.** Levels are visited from the deepest one upwards.
+//!   Each level is built in one [`DdKernel::mk_level`] call from its
+//!   requests' children's results. The kernel sizes the level's unique
+//!   subtable once, for everything the level can add, and hashes the
+//!   whole level before its first probe. It creates the nodes in
+//!   request order, so they get the ids that one `mk` per request would
+//!   give them.
 //!
 //! A depth-first apply chains its memory loads: it reads a node, picks
 //! the next subproblem from what it read, probes the cache for it and
@@ -162,13 +170,16 @@ struct LevelTable<const N: usize> {
     index: Vec<u64>,
     /// `64 - log2(index.len())`: the home slot is the hash's top bits.
     shift: u32,
+    /// Open children counted for this table by the level being
+    /// expanded and not filed yet.
+    incoming: usize,
 }
 
 impl<const N: usize> LevelTable<N> {
     /// The id of the request `key`, filed under `id` if it is new.
     fn intern(&mut self, key: [u32; N], id: u32) -> u32 {
         if (self.entries.len() + 1) * 4 > self.index.len() * 3 {
-            self.grow();
+            self.resize((self.index.len() * 2).max(16));
         }
         let h = hash(&key);
         let tag = h << 32;
@@ -191,9 +202,24 @@ impl<const N: usize> LevelTable<N> {
         }
     }
 
-    /// Doubles the index and re-places every entry in it.
-    fn grow(&mut self) {
-        let capacity = (self.index.len() * 2).max(16);
+    /// Sizes the index once for the `incoming` requests, so that filing
+    /// them does not double it again and again (each doubling re-places
+    /// every entry). Some of them may turn out to be filed already; the
+    /// count is an upper bound.
+    fn reserve_incoming(&mut self) {
+        let needed = self.entries.len() + std::mem::take(&mut self.incoming);
+        let mut capacity = self.index.len().max(16);
+        while needed * 4 > capacity * 3 {
+            capacity *= 2;
+        }
+        if capacity > self.index.len() {
+            self.resize(capacity);
+        }
+    }
+
+    /// Re-places every entry in an index of `capacity` slots (a larger
+    /// power of two).
+    fn resize(&mut self, capacity: usize) {
         self.index.clear();
         self.index.resize(capacity, 0);
         self.shift = 64 - capacity.trailing_zeros();
@@ -255,6 +281,10 @@ pub(crate) struct LevelSync<const N: usize> {
     /// child's level tagged with [`PENDING`], then the child reference.
     /// Bottom-up, the children's results of the level being built.
     refs: Vec<u32>,
+    /// The levels that the level being expanded files children into.
+    touched: Vec<u32>,
+    /// Bottom-up, the results of the level being built.
+    built: Vec<u32>,
 }
 
 impl<const N: usize> LevelSync<N> {
@@ -304,23 +334,36 @@ impl<const N: usize> LevelSync<N> {
                 table.reset();
                 self.tables[level as usize] = table;
                 // 2. Terminal rules settle children; the others' operand
-                //    nodes give the level they are filed under.
+                //    nodes give the level they are filed under, which
+                //    counts them.
                 for child in &mut self.children {
                     self.refs.push(match reduce(*child) {
                         Reduced::Node(node) => node,
                         Reduced::Request(key) => {
                             *child = key;
-                            top_level(dd, &key) | PENDING
+                            let at = top_level(dd, &key);
+                            let incoming = &mut self.tables[at as usize].incoming;
+                            if *incoming == 0 {
+                                self.touched.push(at);
+                            }
+                            *incoming += 1;
+                            at | PENDING
                         }
                     });
                 }
-                // 3. File the open children in their levels' tables.
+                // 3. Size the index of each level that receives children
+                //    once, then file the open children in their levels'
+                //    tables. Only the levels counted above are visited:
+                //    most calls are small, and a scan of every deeper
+                //    level per expanded level would cost O(levels²).
+                for at in self.touched.drain(..) {
+                    deepest = deepest.max(at);
+                    self.tables[at as usize].reserve_incoming();
+                }
                 for i in 0..self.children.len() {
                     let r = self.refs[i];
                     if r & PENDING != 0 {
-                        let at = r ^ PENDING;
-                        deepest = deepest.max(at);
-                        self.refs[i] = self.request(at, self.children[i]) | PENDING;
+                        self.refs[i] = self.request(r ^ PENDING, self.children[i]) | PENDING;
                     }
                 }
                 for (&id, high_low) in self.order[start..].iter().zip(self.refs.chunks_exact(2)) {
@@ -346,11 +389,13 @@ impl<const N: usize> LevelSync<N> {
                     self.refs.push(if pending { below } else { r });
                 }
             }
-            // 2. The nodes.
-            for (&id, pair) in ids.iter().zip(self.refs.chunks_exact(2)) {
-                kids[id as usize][0] = dd.mk(level, pair);
+            // 2. The nodes, in one kernel call.
+            dd.mk_level(level, &self.refs, &mut self.built);
+            for (&id, &node) in ids.iter().zip(&self.built) {
+                kids[id as usize][0] = node;
             }
             self.refs.clear();
+            self.built.clear();
             end = start;
         }
         let result = kids[0][0];
@@ -358,6 +403,8 @@ impl<const N: usize> LevelSync<N> {
         reuse(&mut self.order);
         reuse(&mut self.children);
         reuse(&mut self.refs);
+        reuse(&mut self.touched);
+        reuse(&mut self.built);
         result
     }
 
@@ -488,36 +535,6 @@ impl BddManager {
         let at_least_k1 = self.at_least(k + 1, operands);
         let not_more = self.not(at_least_k1);
         self.and(at_least_k, not_more)
-    }
-
-    /// Existential quantification of the variable at `level`:
-    /// `∃x_level . f = f|x=0 ∨ f|x=1`.
-    pub fn exists(&mut self, f: BddId, level: usize) -> BddId {
-        let f0 = self.restrict(f, level, false);
-        let f1 = self.restrict(f, level, true);
-        self.or(f0, f1)
-    }
-
-    /// Cofactor of `f` with the variable at `level` fixed to `value`.
-    pub fn restrict(&mut self, f: BddId, level: usize, value: bool) -> BddId {
-        if f.is_terminal() {
-            return f;
-        }
-        let node_level = self.raw_level(f);
-        if node_level > level as u32 {
-            // f does not depend on the variable (it only tests lower variables).
-            return f;
-        }
-        if node_level == level as u32 {
-            return if value { self.high(f) } else { self.low(f) };
-        }
-        // node_level < level: rebuild with restricted children (memoized via mk's unique table only;
-        // an explicit cache is unnecessary for the shallow uses in this crate).
-        let low = self.low(f);
-        let high = self.high(f);
-        let rl = self.restrict(low, level, value);
-        let rh = self.restrict(high, level, value);
-        self.mk(node_level as usize, rl, rh)
     }
 
     /// Runs one operation: the terminal rules, then the operation cache,
@@ -714,29 +731,6 @@ mod tests {
         let maj_vars = &vars[0..3];
         let maj = mgr.at_least(2, maj_vars);
         check(&mgr, maj, 3, |a| (a[0] as u8 + a[1] as u8 + a[2] as u8) >= 2);
-    }
-
-    #[test]
-    fn restrict_and_exists() {
-        let mut mgr = BddManager::new(3);
-        let x = mgr.var(0);
-        let y = mgr.var(1);
-        let z = mgr.var(2);
-        let yz = mgr.and(y, z);
-        let f = mgr.or(x, yz); // f = x + y z
-        let f_x1 = mgr.restrict(f, 0, true);
-        assert_eq!(f_x1, mgr.one());
-        let f_x0 = mgr.restrict(f, 0, false);
-        assert_eq!(f_x0, yz);
-        // Restrict on a variable not in the support is the identity.
-        assert_eq!(mgr.restrict(yz, 0, true), yz);
-        // Restrict below the root.
-        let f_z0 = mgr.restrict(f, 2, false);
-        assert_eq!(f_z0, x);
-        // ∃x . f = 1 (taking x = 1 satisfies it).
-        assert_eq!(mgr.exists(f, 0), mgr.one());
-        // ∃z . yz = y
-        assert_eq!(mgr.exists(yz, 2), y);
     }
 
     #[test]

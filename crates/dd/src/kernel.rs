@@ -5,7 +5,7 @@
 use crate::arena::{NodeArena, TERMINAL_LEVEL};
 use crate::cache::{OpCache, OpKey, OpTagStats, NUM_OP_TAGS};
 use crate::govern::Governor;
-use crate::unique::UniqueTable;
+use crate::unique::{hash_children, UniqueTable};
 
 /// Node id of the FALSE terminal.
 pub const ZERO: u32 = 0;
@@ -259,10 +259,60 @@ impl DdKernel {
         self.cons(level, children)
     }
 
+    /// Hash-conses a whole level: appends to `out` the canonical node
+    /// `(level, tuple)` of each `arity(level)`-wide tuple of `children`,
+    /// in order — the results of one [`DdKernel::mk`] call per tuple.
+    ///
+    /// The batch sizes the level's unique subtable once, for every node
+    /// it can add, instead of letting it double while the level fills,
+    /// and hashes every tuple in one pass before the first probe. Then
+    /// it probes and inserts tuple by tuple, in the order given. A
+    /// redundant tuple (all children equal) reduces to its child.
+    ///
+    /// * **Order.** New nodes are created in the order of their tuples,
+    ///   so they get the ids that per-tuple `mk` calls would give them.
+    ///   Ids key the operation cache and lay out every later traversal
+    ///   of the diagram, so a batch changes neither.
+    /// * **Governor.** Each new node is reported with `on_alloc(1)` right
+    ///   after its insertion, exactly as `mk` reports it — never a
+    ///   level's count in one call. A budget or fail point therefore
+    ///   trips at the very node that crosses it, and an abort unwinding
+    ///   from the middle of a batch leaves the arena and the unique table
+    ///   consistent: the nodes already made are ordinary garbage for the
+    ///   next [`DdKernel::gc`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `children` is not a whole number of tuples.
+    pub fn mk_level(&mut self, level: u32, children: &[u32], out: &mut Vec<u32>) {
+        let arity = self.arena.arity(level as usize);
+        assert_eq!(children.len() % arity, 0, "children must form whole tuples of arity {arity}");
+        let redundant = |tuple: &[u32]| tuple.iter().all(|&c| c == tuple[0]);
+        // 1. Hash every tuple. Each hash waits in its tuple's result slot
+        //    and counts towards the nodes the batch can add.
+        let start = out.len();
+        let mut fresh = 0usize;
+        out.extend(children.chunks_exact(arity).map(|tuple| {
+            fresh += usize::from(!redundant(tuple));
+            hash_children(tuple)
+        }));
+        // 2. One reservation for all of them.
+        self.unique.reserve(level, fresh);
+        // 3. Probe and insert in the order given.
+        for (tuple, slot) in children.chunks_exact(arity).zip(&mut out[start..]) {
+            *slot = if redundant(tuple) { tuple[0] } else { self.cons_hashed(level, tuple, *slot) };
+        }
+    }
+
     /// Hash-conses `(level, children)` after the redundancy check.
     pub(crate) fn cons(&mut self, level: u32, children: &[u32]) -> u32 {
+        self.cons_hashed(level, children, hash_children(children))
+    }
+
+    /// [`DdKernel::cons`] with the children's hash already computed.
+    fn cons_hashed(&mut self, level: u32, children: &[u32], hash: u32) -> u32 {
         let before = self.arena.len();
-        let id = self.unique.get_or_insert(&mut self.arena, level, children);
+        let id = self.unique.get_or_insert_hashed(&mut self.arena, level, children, hash);
         // Report to the governor only after the node is fully inserted:
         // an abort unwinding from here leaves the arena and unique table
         // consistent (the node is ordinary garbage for the next gc).
@@ -610,6 +660,7 @@ impl DdKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::govern::{catch_governed, DdError, GovernorLimits};
 
     #[test]
     fn mk_is_canonical_and_reducing() {
@@ -786,5 +837,127 @@ mod tests {
         assert_eq!(dd.live_size(&[f]), 4);
         assert_eq!(dd.live_size(&[f, g]), 5, "shared structure is counted once");
         assert_eq!(dd.live_size(&[]), 0);
+    }
+
+    /// A xorshift generator, so the batch tests replay the same cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % bound as u64) as usize
+        }
+    }
+
+    /// Every node of `dd` as `(level, children)`, in id order.
+    fn nodes(dd: &DdKernel) -> Vec<(u32, Vec<u32>)> {
+        (0..dd.allocated_nodes() as u32)
+            .map(|id| (dd.raw_level(id), dd.children(id).to_vec()))
+            .collect()
+    }
+
+    /// `tuples` tuples of width `arity` over the nodes of `pool`: fresh
+    /// mixes, redundant tuples, repeats of earlier tuples of the batch
+    /// and copies of the nodes in `existing`.
+    fn batch(
+        rng: &mut Rng,
+        dd: &DdKernel,
+        pool: &[u32],
+        existing: &[u32],
+        arity: usize,
+        tuples: usize,
+    ) -> Vec<u32> {
+        let mut batch = Vec::with_capacity(tuples * arity);
+        for _ in 0..tuples {
+            let made = batch.len() / arity;
+            match rng.below(8) {
+                0 => batch.extend(std::iter::repeat_n(pool[rng.below(pool.len())], arity)),
+                1 if made > 0 => {
+                    let t = rng.below(made);
+                    batch.extend_from_within(t * arity..(t + 1) * arity);
+                }
+                2 if !existing.is_empty() => {
+                    batch.extend_from_slice(dd.children(existing[rng.below(existing.len())]))
+                }
+                _ => batch.extend((0..arity).map(|_| pool[rng.below(pool.len())])),
+            }
+        }
+        batch
+    }
+
+    #[test]
+    fn mk_level_matches_one_mk_per_tuple() {
+        let arities = vec![2, 3, 2, 2, 3, 2];
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut dd = DdKernel::new(arities.clone());
+        let mut pool = vec![ZERO, ONE];
+        for level in (0..arities.len()).rev() {
+            let arity = arities[level] as usize;
+            let existing: Vec<u32> = (0..rng.below(40))
+                .map(|_| {
+                    let tuple: Vec<u32> = (0..arity).map(|_| pool[rng.below(pool.len())]).collect();
+                    dd.mk(level as u32, &tuple)
+                })
+                .collect();
+            let len = 1 + rng.below(3000);
+            let tuples = batch(&mut rng, &dd, &pool, &existing, arity, len);
+            let mut single = dd.clone();
+            let want: Vec<u32> =
+                tuples.chunks_exact(arity).map(|t| single.mk(level as u32, t)).collect();
+            let mut out = vec![7];
+            dd.mk_level(level as u32, &tuples, &mut out);
+            assert_eq!(out[0], 7, "the results are appended");
+            assert_eq!(out[1..], want[..]);
+            assert_eq!(nodes(&dd), nodes(&single), "same ids, same order");
+            assert_eq!(dd.stats(), single.stats());
+            pool.extend(want);
+        }
+        let mut out = Vec::new();
+        dd.mk_level(0, &[], &mut out);
+        assert!(out.is_empty(), "an empty batch adds nothing");
+    }
+
+    #[test]
+    fn a_trip_inside_a_batch_leaves_the_kernel_consistent() {
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let mut base = DdKernel::new(vec![2; 4]);
+        let mut pool = vec![ZERO, ONE];
+        for level in (1..4u32).rev() {
+            for _ in 0..30 {
+                let node =
+                    base.mk(level, &[pool[rng.below(pool.len())], pool[rng.below(pool.len())]]);
+                base.protect(node);
+                pool.push(node);
+            }
+        }
+        let tuples = batch(&mut rng, &base, &pool, &[], 2, 400);
+        let mut reference = base.clone();
+        let mut want = Vec::new();
+        reference.mk_level(0, &tuples, &mut want);
+        let fresh = (reference.allocated_nodes() - base.allocated_nodes()) as u64;
+        assert!(fresh > 100, "the batch makes enough nodes to trip inside it");
+        for fail_after in [1, fresh / 2, fresh] {
+            let mut dd = base.clone();
+            let governor =
+                Governor::new(GovernorLimits { fail_after, ..GovernorLimits::default() }, None);
+            dd.set_governor(Some(governor.clone()));
+            let mut out = Vec::new();
+            let outcome = catch_governed(Some(&governor), || dd.mk_level(0, &tuples, &mut out));
+            assert_eq!(
+                outcome,
+                Err(DdError::BudgetExceeded { budget: fail_after, allocated: fail_after })
+            );
+            assert_eq!(dd.allocated_nodes(), base.allocated_nodes() + fail_after as usize);
+            assert_eq!(dd.stats().unique_entries, dd.allocated_nodes() - 2);
+            dd.set_governor(None);
+            dd.gc();
+            assert_eq!(nodes(&dd), nodes(&base), "the collection drops the partial level");
+            out.clear();
+            dd.mk_level(0, &tuples, &mut out);
+            assert_eq!(out, want);
+            assert_eq!(nodes(&dd), nodes(&reference), "the rebuild is identical");
+        }
     }
 }

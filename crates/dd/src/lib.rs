@@ -20,7 +20,8 @@
 //!   per-operation hit/miss/eviction statistics, bounded memory and O(1)
 //!   whole-cache invalidation;
 //! * the [`DdKernel`] combining the three behind the
-//!   canonicalising [`mk`](DdKernel::mk) constructor;
+//!   canonicalising [`mk`](DdKernel::mk) constructor and its
+//!   whole-level form [`mk_level`](DdKernel::mk_level);
 //! * shared memoized traversals (node counts, reachable-set iteration,
 //!   support, path evaluation, depth-first probability evaluation);
 //! * external root protection ([`kernel::Ref`] handles / [`kernel::Protect`]

@@ -61,7 +61,7 @@ impl Default for SubTable {
 
 /// Folds the 64-bit children hash to the 32 cached bits (the same bits
 /// that address the home bucket, so probe distances are recoverable).
-fn hash_children(children: &[u32]) -> u32 {
+pub(crate) fn hash_children(children: &[u32]) -> u32 {
     let mut hasher = FxHasher::default();
     for &c in children {
         hasher.write_u32(c);
@@ -103,14 +103,20 @@ impl SubTable {
         }
     }
 
-    /// Returns the canonical node with these children, creating it in
-    /// `arena` at `level` if no equal node exists in this subtable.
-    fn get_or_insert(&mut self, arena: &mut NodeArena, level: u32, children: &[u32]) -> u32 {
+    /// Returns the canonical node with these children, whose
+    /// [`hash_children`] is `hash`, creating it in `arena` at `level` if
+    /// no equal node exists in this subtable.
+    fn get_or_insert(
+        &mut self,
+        arena: &mut NodeArena,
+        level: u32,
+        children: &[u32],
+        hash: u32,
+    ) -> u32 {
         if self.needs_growth() {
-            self.grow();
+            self.resize(self.buckets.len() * 2);
         }
         let mask = self.buckets.len() - 1;
-        let hash = hash_children(children);
         let mut idx = hash as usize & mask;
         let mut dib = 0usize;
         loop {
@@ -143,7 +149,7 @@ impl SubTable {
     /// present.
     fn insert_new(&mut self, id: u32, children: &[u32]) {
         if self.needs_growth() {
-            self.grow();
+            self.resize(self.buckets.len() * 2);
         }
         let hash = hash_children(children);
         let idx = hash as usize & (self.buckets.len() - 1);
@@ -178,11 +184,28 @@ impl SubTable {
         }
     }
 
-    /// Doubles the subtable. The cached hash bits make this arena-free:
-    /// every occupied bucket is re-placed under the new mask by Robin
-    /// Hood insertion from its cached hash alone.
-    fn grow(&mut self) {
-        let new_size = self.buckets.len() * 2;
+    /// Grows the subtable, if needed, to the size that `additional` more
+    /// insertions would reach by doubling one at a time.
+    fn reserve(&mut self, additional: usize) {
+        if additional == 0 {
+            return;
+        }
+        // The last of them finds `len + additional - 1` entries.
+        let before_last = self.len + additional - 1;
+        let mut size = self.buckets.len();
+        while before_last * 8 >= size * 7 {
+            size *= 2;
+        }
+        if size > self.buckets.len() {
+            self.resize(size);
+        }
+    }
+
+    /// Re-places the subtable in `new_size` buckets (a larger power of
+    /// two). The cached hash bits make this arena-free: every occupied
+    /// bucket is re-placed under the new mask by Robin Hood insertion
+    /// from its cached hash alone.
+    fn resize(&mut self, new_size: usize) {
         let old = std::mem::replace(&mut self.buckets, vec![FREE; new_size]);
         let mask = new_size - 1;
         for bucket in old {
@@ -226,10 +249,36 @@ impl UniqueTable {
     /// Returns the canonical node `(level, children)`, creating it in
     /// `arena` if no equal node exists yet.
     pub fn get_or_insert(&mut self, arena: &mut NodeArena, level: u32, children: &[u32]) -> u32 {
-        let before = self.table(level).len;
-        let id = self.tables[level as usize].get_or_insert(arena, level, children);
-        self.len += self.tables[level as usize].len - before;
+        self.get_or_insert_hashed(arena, level, children, hash_children(children))
+    }
+
+    /// [`UniqueTable::get_or_insert`] with the key's [`hash_children`]
+    /// computed by the caller. The table's length counts the node as soon
+    /// as it is inserted, so it stays exact even if the caller unwinds
+    /// before its next insertion.
+    pub(crate) fn get_or_insert_hashed(
+        &mut self,
+        arena: &mut NodeArena,
+        level: u32,
+        children: &[u32],
+        hash: u32,
+    ) -> u32 {
+        let table = self.table(level);
+        let before = table.len;
+        let id = table.get_or_insert(arena, level, children, hash);
+        self.len += table.len - before;
         id
+    }
+
+    /// Sizes `level`'s subtable once for `additional` more nodes, so that
+    /// inserting them does not double it again and again: each doubling
+    /// re-places every entry already there. The size is the one that
+    /// inserting them one at a time would reach. Reserving inserts
+    /// nothing: the caller still inserts, and reports to the governor,
+    /// node by node in its own order, so ids and the table's length
+    /// come out exactly as without the reservation.
+    pub(crate) fn reserve(&mut self, level: u32, additional: usize) {
+        self.table(level).reserve(additional);
     }
 
     /// Inserts a node under its *current* arena key. The key must not be
@@ -384,6 +433,28 @@ mod tests {
             assert_eq!(table.get_or_insert(&mut arena, i % 4096, &[i % 2, 1 - i % 2]), id);
         }
         assert_eq!(table.len(), arena.len() - 2);
+    }
+
+    #[test]
+    fn reserve_sizes_a_level_once_for_its_insertions() {
+        for n in [1u32, 13, 14, 15, 100, 1000] {
+            let keys: Vec<[u32; 2]> = (0..n).map(|i| [i, i + 1]).collect();
+            let mut arena = NodeArena::new(vec![2]);
+            let mut grown = UniqueTable::default();
+            for key in &keys {
+                grown.get_or_insert(&mut arena, 0, key);
+            }
+            let mut arena = NodeArena::new(vec![2]);
+            let mut reserved = UniqueTable::default();
+            reserved.reserve(0, n as usize);
+            let size = reserved.tables[0].buckets.len();
+            for key in &keys {
+                reserved.get_or_insert(&mut arena, 0, key);
+                assert_eq!(reserved.tables[0].buckets.len(), size, "no resize after reserving");
+            }
+            assert_eq!(size, grown.tables[0].buckets.len(), "{n} insertions grow to the same size");
+            assert_eq!(reserved.len(), n as usize);
+        }
     }
 
     #[test]
