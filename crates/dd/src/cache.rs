@@ -22,6 +22,11 @@
 //! wraps, the tag array is cleared once so stale tags can never alias a
 //! live generation.
 //!
+//! The slots and tags are allocated on the first insertion: a manager
+//! that never memoizes anything (the ROMDD manager of a conversion) pays
+//! neither the allocation nor the fill of a table it never reads. A
+//! lookup before then misses like any other.
+//!
 //! The cache counts hits, misses, insertions and evictions — in total
 //! and per operation tag — so the analysis layer can report memoization
 //! effectiveness alongside the paper's size metrics, and it grows itself
@@ -73,6 +78,9 @@ struct Slot {
 /// invalidation and hit/miss/eviction accounting.
 #[derive(Debug, Clone)]
 pub struct OpCache {
+    /// Slot count (a power of two); `slots` and `tags` have this length
+    /// once allocated, and are empty before the first insertion.
+    capacity: usize,
     slots: Vec<Slot>,
     /// `(generation << 3) | op` of each slot; `0` marks a never-written
     /// slot (live generations start at 1).
@@ -109,13 +117,15 @@ impl OpCache {
     /// `max_capacity` under sustained conflict pressure. Both bounds are
     /// rounded up to powers of two; `max_capacity` is clamped to at
     /// least `capacity` (equal bounds pin the size — useful for tests
-    /// exercising the lossy behaviour, e.g. a capacity-1 cache).
+    /// exercising the lossy behaviour, e.g. a capacity-1 cache). The
+    /// slots are allocated on the first [`OpCache::insert`].
     pub fn with_capacity(capacity: usize, max_capacity: usize) -> Self {
         let capacity = capacity.max(1).next_power_of_two();
         let max_capacity = max_capacity.max(capacity).next_power_of_two();
         Self {
-            slots: vec![Slot::default(); capacity],
-            tags: vec![0; capacity],
+            capacity,
+            slots: Vec::new(),
+            tags: Vec::new(),
             generation: 1,
             live: 0,
             max_capacity,
@@ -128,14 +138,14 @@ impl OpCache {
         }
     }
 
-    /// Current number of slots.
+    /// Current number of slots (allocated or not yet).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     #[inline]
     fn index(&self, op: u8, a: u32, b: u32, c: u32) -> usize {
-        hash_key(op, a, b, c) as usize & (self.slots.len() - 1)
+        hash_key(op, a, b, c) as usize & (self.capacity - 1)
     }
 
     #[inline]
@@ -150,8 +160,9 @@ impl OpCache {
         debug_assert!((op as usize) < NUM_OP_TAGS, "operation tag {op} out of range");
         let idx = self.index(op, a, b, c);
         // Probe the (small, cache-resident) tag array first: a stale or
-        // mismatched tag skips the 16-byte slot load entirely.
-        if self.tags[idx] == self.live_tag(op) {
+        // mismatched tag skips the 16-byte slot load entirely, and a
+        // table not yet allocated has no tag at all.
+        if self.tags.get(idx) == Some(&self.live_tag(op)) {
             let slot = self.slots[idx];
             if slot.a == a && slot.b == b && slot.c == c {
                 self.hits += 1;
@@ -171,6 +182,10 @@ impl OpCache {
         let (op, a, b, c) = key;
         debug_assert!((op as usize) < NUM_OP_TAGS, "operation tag {op} out of range");
         let idx = self.index(op, a, b, c);
+        if self.slots.is_empty() {
+            self.slots = vec![Slot::default(); self.capacity];
+            self.tags = vec![0; self.capacity];
+        }
         self.insertions += 1;
         let tag = self.tags[idx];
         if tag >> 3 == self.generation {
@@ -193,13 +208,14 @@ impl OpCache {
     /// mask. Deterministic: the trigger depends only on the operation
     /// sequence.
     fn maybe_grow(&mut self) {
-        if self.slots.len() >= self.max_capacity
-            || (self.evictions - self.evictions_at_resize) as usize <= self.slots.len()
+        if self.capacity >= self.max_capacity
+            || (self.evictions - self.evictions_at_resize) as usize <= self.capacity
         {
             return;
         }
         self.evictions_at_resize = self.evictions;
-        let new_capacity = (self.slots.len() * 2).min(self.max_capacity);
+        let new_capacity = (self.capacity * 2).min(self.max_capacity);
+        self.capacity = new_capacity;
         let old_slots = std::mem::replace(&mut self.slots, vec![Slot::default(); new_capacity]);
         let old_tags = std::mem::replace(&mut self.tags, vec![0; new_capacity]);
         self.live = 0;
@@ -312,6 +328,8 @@ mod tests {
         let mut cache = OpCache::default();
         assert!(cache.is_empty());
         assert_eq!(cache.get((0, 2, 3, 0)), None);
+        assert!(cache.slots.is_empty(), "a lookup allocates nothing");
+        assert_eq!(cache.capacity(), DEFAULT_CAPACITY);
         cache.insert((0, 2, 3, 0), 7);
         assert_eq!(cache.get((0, 2, 3, 0)), Some(7));
         assert_eq!(cache.get((1, 2, 3, 0)), None);

@@ -20,7 +20,10 @@
 //! * probability evaluation under independent multiple-valued variables
 //!   ([`MddManager::probability`]), the paper's depth-first computation,
 //!   and a frozen level-major plan for repeated evaluation
-//!   ([`MddManager::freeze`] → [`FrozenMdd`]);
+//!   ([`MddManager::freeze`] → [`FrozenMdd`]) that recomputes only the
+//!   levels from the deepest one whose distribution changed since its
+//!   last call, bit-identically to a full walk (see
+//!   [the level memo](FrozenMdd#the-level-memo));
 //! * conversion of a *coded ROBDD* (binary-encoded, with bit groups kept
 //!   contiguous and ordered like the multiple-valued variables) into the
 //!   ROMDD, in two independent implementations: a top-down memoized

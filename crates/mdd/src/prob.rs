@@ -9,7 +9,10 @@
 //! [`MddManager::probability`] runs that traversal on the live manager.
 //! A diagram evaluated many times is better [frozen](MddManager::freeze)
 //! into a [`FrozenMdd`] first: a flat, level-major plan whose evaluation
-//! is one forward loop, bit-identical to the traversal.
+//! is one forward loop, bit-identical to the traversal. The plan also
+//! remembers the distribution each level was last evaluated under, so a
+//! call recomputes only the levels from the deepest changed one up to the
+//! root.
 
 use crate::manager::{MddId, MddManager};
 
@@ -77,7 +80,7 @@ impl MddManager {
                 next_slot[level] += 1;
             }
         }
-        let blocks = (0..num_levels)
+        let blocks: Vec<LevelBlock> = (0..num_levels)
             .rev()
             .filter(|&level| per_level[level] > 0)
             .map(|level| LevelBlock { level, arity: self.domains[level], nodes: per_level[level] })
@@ -88,12 +91,15 @@ impl MddManager {
             .collect();
         let mut values = vec![0.0; slots];
         values[1] = 1.0;
+        let last_weights = vec![0.0; blocks.iter().map(|b| b.arity).sum()];
         FrozenMdd {
             blocks,
             children,
             root: slot_of[f.0 as usize],
             node_count: reachable.len(),
             values,
+            last_weights,
+            memo_valid: false,
         }
     }
 }
@@ -114,7 +120,27 @@ struct LevelBlock {
 /// terminal slots, and their children are one flat array of slots in the
 /// same order. [`FrozenMdd::probability`] is therefore a single forward
 /// loop: every child's value is final before its parents read it, so
-/// there is no stack, no visited stamp and no memo lookup.
+/// there is no stack, no visited stamp and no per-node memo lookup.
+///
+/// # The level memo
+///
+/// The plan keeps the values of its last evaluation together with the
+/// distribution every level was evaluated under (one vector per
+/// populated level, a few KiB per plan). A node's value depends only on
+/// its own level's distribution and on the values of deeper levels, so
+/// the next call keeps every leading (deepest) level whose distribution
+/// is bit-identical to the last one and recomputes from the first
+/// changed level up to the root. The kept values are exactly those a
+/// recompute would produce, so every result is bit-identical to a fresh
+/// plan's. When only the top level's distribution changes — the
+/// lethal-defect count `w` under the paper's `w`-first orderings — a call
+/// recomputes the single root node.
+///
+/// Distributions are compared with [`f64::to_bits`]: `-0.0` and `+0.0`
+/// differ, and a NaN weight matches only the same NaN payload. A call
+/// checks every level's arity before it reads or writes the memo, so a
+/// call that panics leaves the memo as it was. A clone carries the memo
+/// with it.
 #[derive(Debug, Clone)]
 pub struct FrozenMdd {
     /// Populated levels, deepest first.
@@ -125,9 +151,15 @@ pub struct FrozenMdd {
     root: u32,
     /// Nodes reachable from the root, terminals included.
     node_count: usize,
-    /// Value of every slot, reused across evaluations; slots 0 and 1 hold
+    /// Value of every slot, kept across evaluations; slots 0 and 1 hold
     /// the terminals' constant 0 and 1.
     values: Vec<f64>,
+    /// The distribution each block was last evaluated under, blocks
+    /// concatenated in `blocks` order (`arity` entries each).
+    last_weights: Vec<f64>,
+    /// Whether `values` hold the results for `last_weights`: set when a
+    /// walk completes, false before the first one.
+    memo_valid: bool,
 }
 
 impl FrozenMdd {
@@ -149,23 +181,44 @@ impl FrozenMdd {
     /// adding `+0.0` to a sum that starts at `+0.0` changes no bit. The
     /// two implementations therefore agree bit for bit.
     ///
+    /// Levels are walked deepest first. Every leading level whose
+    /// distribution is bit-identical to the previous call's keeps its
+    /// values (see [the level memo](FrozenMdd#the-level-memo)); the walk
+    /// recomputes from the first changed level up to the root.
+    ///
     /// # Panics
     ///
     /// Panics if `probabilities` is shorter than a level appearing in the
-    /// diagram or an entry has the wrong arity.
+    /// diagram or an entry has the wrong arity. The check covers every
+    /// level before any value or memo entry is written, so a panicking
+    /// call leaves the plan as it was.
     pub fn probability(&mut self, probabilities: &[Vec<f64>]) -> f64 {
-        let mut slot = 2;
-        let mut edges = self.children.as_slice();
         for block in &self.blocks {
-            let dist = probabilities[block.level].as_slice();
             assert_eq!(
-                dist.len(),
+                probabilities[block.level].len(),
                 block.arity,
                 "probability vector arity mismatch at level {}",
                 block.level
             );
+        }
+        // The memo is invalid until the walk completes, so a walk cut
+        // short would leave the next call a full walk.
+        let mut keep = std::mem::take(&mut self.memo_valid);
+        let mut slot = 2;
+        let mut edges = self.children.as_slice();
+        let mut last_weights = self.last_weights.as_mut_slice();
+        for block in &self.blocks {
+            let dist = probabilities[block.level].as_slice();
             let (level_edges, rest) = edges.split_at(block.nodes * block.arity);
             edges = rest;
+            let (last, rest) = std::mem::take(&mut last_weights).split_at_mut(block.arity);
+            last_weights = rest;
+            if keep && same_bits(last, dist) {
+                slot += block.nodes;
+                continue;
+            }
+            keep = false;
+            last.copy_from_slice(dist);
             for node in level_edges.chunks_exact(block.arity) {
                 let mut p = 0.0;
                 for (&w, &child) in dist.iter().zip(node) {
@@ -175,8 +228,14 @@ impl FrozenMdd {
                 slot += 1;
             }
         }
+        self.memo_valid = true;
         self.values[self.root as usize]
     }
+}
+
+/// True if `a` and `b` hold the same floats bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -317,5 +376,95 @@ mod tests {
         let mut mgr = MddManager::new(vec![3]);
         let f = mgr.value_is(0, 1);
         mgr.freeze(f).probability(&[vec![0.5, 0.5]]);
+    }
+
+    /// `(x0 == 2 AND x1 == 1) OR x2 >= 3` over domains `[3, 2, 4]`: level
+    /// 0 is the top level, level 2 the deepest.
+    fn composite() -> (MddManager, MddId) {
+        let mut mgr = MddManager::new(vec![3, 2, 4]);
+        let a = mgr.value_is(0, 2);
+        let b = mgr.value_is(1, 1);
+        let c = mgr.value_at_least(2, 3);
+        let ab = mgr.and(a, b);
+        let f = mgr.or(ab, c);
+        (mgr, f)
+    }
+
+    #[test]
+    fn the_level_memo_recomputes_only_changed_levels_bit_identically() {
+        let (mgr, f) = composite();
+        let a = vec![vec![0.5, 0.25, 0.25], vec![0.9, 0.1], vec![0.4, 0.3, 0.2, 0.1]];
+        let mut b = a.clone();
+        b[0] = vec![0.1, 0.2, 0.7];
+        let mut c = a.clone();
+        c[2] = vec![0.1, 0.2, 0.3, 0.4];
+        let mut plan = mgr.freeze(f);
+        for dist in [&a, &b, &a, &c, &b, &b] {
+            let fresh = mgr.freeze(f).probability(dist);
+            assert_eq!(plan.probability(dist).to_bits(), fresh.to_bits(), "{dist:?}");
+        }
+        // A clone carries the memo: it answers like a fresh plan too.
+        let mut clone = plan.clone();
+        assert_eq!(clone.probability(&c).to_bits(), mgr.freeze(f).probability(&c).to_bits());
+    }
+
+    /// Overwrites the value of every node below the top level with NaN,
+    /// so a call that keeps any of them answers NaN.
+    fn poison_below_the_top(plan: &mut FrozenMdd) {
+        let top = plan.blocks[plan.blocks.len() - 1];
+        assert_eq!(top.level, 0);
+        let top_start = plan.values.len() - top.nodes;
+        plan.values[2..top_start].fill(f64::NAN);
+    }
+
+    #[test]
+    fn an_unchanged_deep_level_is_not_recomputed() {
+        let (mgr, f) = composite();
+        let a = vec![vec![0.5, 0.25, 0.25], vec![0.9, 0.1], vec![0.4, 0.3, 0.2, 0.1]];
+        let mut plan = mgr.freeze(f);
+        plan.probability(&a);
+        poison_below_the_top(&mut plan);
+        let mut b = a.clone();
+        b[0] = vec![0.1, 0.2, 0.7];
+        assert!(plan.probability(&b).is_nan(), "kept levels are read, not recomputed");
+        let mut c = b.clone();
+        c[2] = vec![0.1, 0.2, 0.3, 0.4];
+        assert_eq!(plan.probability(&c).to_bits(), mgr.freeze(f).probability(&c).to_bits());
+    }
+
+    #[test]
+    fn a_signed_zero_is_compared_by_its_bits() {
+        // -0.0 == +0.0, yet the deepest level must count as changed.
+        let (mgr, f) = composite();
+        let negative = vec![vec![0.5, 0.25, 0.25], vec![0.9, 0.1], vec![-0.0, 0.5, 0.3, 0.2]];
+        let positive = vec![vec![0.1, 0.2, 0.7], vec![0.9, 0.1], vec![0.0, 0.5, 0.3, 0.2]];
+        let mut plan = mgr.freeze(f);
+        plan.probability(&negative);
+        poison_below_the_top(&mut plan);
+        let fresh = mgr.freeze(f).probability(&positive);
+        assert_eq!(plan.probability(&positive).to_bits(), fresh.to_bits());
+    }
+
+    #[test]
+    fn an_arity_mismatch_leaves_the_plan_as_it_was() {
+        let (mgr, f) = composite();
+        let a = vec![vec![0.5, 0.25, 0.25], vec![0.9, 0.1], vec![0.4, 0.3, 0.2, 0.1]];
+        let mut c = a.clone();
+        c[2] = vec![0.1, 0.2, 0.3, 0.4];
+        let mut plan = mgr.freeze(f);
+        plan.probability(&a);
+        // The deepest level gets one weight too many, its first four those
+        // of `c`: a walk that stored them before it panicked would let the
+        // next call with `c` trust values computed under `a`.
+        let mut bad = a.clone();
+        bad[2] = vec![0.1, 0.2, 0.3, 0.4, 0.5];
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            plan.probability(&bad);
+        }));
+        assert!(panicked.is_err(), "a wrong arity panics");
+        for dist in [&c, &a] {
+            let fresh = mgr.freeze(f).probability(dist);
+            assert_eq!(plan.probability(dist).to_bits(), fresh.to_bits(), "{dist:?}");
+        }
     }
 }

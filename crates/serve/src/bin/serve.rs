@@ -6,11 +6,11 @@
 //! parallel sweep); EOF flushes and exits. See the `socy_serve` crate
 //! docs and the repository README for the request schema.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::process::ExitCode;
 
 use serde::Serialize;
-use socy_serve::{CompileOptions, ServiceConfig, YieldService};
+use socy_serve::{CompileOptions, ServiceConfig, YieldService, MAX_LINE_BYTES};
 
 const USAGE_HEAD: &str = "\
 Usage: serve [--threads N] [--cache-node-budget NODES] [--record PATH]
@@ -18,7 +18,9 @@ Usage: serve [--threads N] [--cache-node-budget NODES] [--record PATH]
 
 Reads line-delimited JSON requests on stdin; a blank line flushes the
 pending batch, EOF flushes and exits. Writes one JSON response per line
-on stdout, in request order.
+on stdout, in request order. A line longer than 16 MiB (16777216 bytes)
+is answered with one `invalid request` error; the rest of it is skipped
+unread.
 
   --threads N            worker threads for uncached requests (0 = all cores; default 0)
   --cache-node-budget N  live-node budget of the pipeline cache (0 = unbounded);
@@ -68,13 +70,20 @@ fn main() -> ExitCode {
     let mut batch: Vec<Vec<u8>> = Vec::new();
     // Lines are read as bytes: a line that is not UTF-8 is a request like
     // any other, answered with an `invalid request` error, and does not
-    // end the session.
+    // end the session. At most MAX_LINE_BYTES of a line plus its "\r\n"
+    // are kept; the service answers a longer line with an error, and the
+    // rest of it is skipped without being buffered.
     let mut stdin = io::stdin().lock();
+    let kept = MAX_LINE_BYTES as u64 + 2;
     loop {
         let mut line = Vec::new();
-        match stdin.read_until(b'\n', &mut line) {
+        match (&mut stdin).take(kept).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
+        }
+        if line.len() as u64 == kept && !line.ends_with(b"\n") {
+            // A read error here surfaces again at the next read.
+            let _ = stdin.skip_until(b'\n');
         }
         if line.ends_with(b"\n") {
             line.pop();

@@ -28,5 +28,6 @@ pub use protocol::{
 pub use service::{
     conversion_label, parse_conversion, resolve_delta, resolve_distribution, resolve_system,
     PanicDistribution, PipelineKey, ServiceConfig, YieldService, DEFAULT_NODE_BUDGET,
+    MAX_LINE_BYTES,
 };
 pub use soc_yield_core::{CancelToken, CompileOptions};

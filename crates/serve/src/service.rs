@@ -49,6 +49,13 @@ use crate::protocol::{
 /// Default live-node budget of the pipeline cache.
 pub const DEFAULT_NODE_BUDGET: usize = 1 << 16;
 
+/// Longest request line, in bytes, the service parses: 16 MiB, far above
+/// any real request (an inline 2,000-input tree is tens of KiB). A longer
+/// line is answered with one `invalid request` error naming the limit.
+/// The `serve` binary keeps at most this many bytes of a line (plus its
+/// terminator) and skips the rest unread.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// Construction parameters of a [`YieldService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -472,8 +479,9 @@ impl YieldService {
     }
 
     /// Serves a batch of request lines, returning one response per line
-    /// in request order. Lines are bytes: one that is not valid UTF-8
-    /// answers an `invalid request` error with a null `id`.
+    /// in request order. Lines are bytes: one that is not valid UTF-8, or
+    /// is longer than [`MAX_LINE_BYTES`], answers an `invalid request`
+    /// error with a null `id`.
     ///
     /// Within a batch: cache hits are answered on the calling thread;
     /// all misses are gathered into one [`SweepMatrix`] (one block per
@@ -492,10 +500,18 @@ impl YieldService {
             let started = Instant::now();
             self.requests_served += 1;
             // A line that parses as JSON but fails the schema still
-            // echoes its string `id`; a line that is not UTF-8 or not JSON
-            // has none.
-            let request = std::str::from_utf8(line.as_ref())
-                .map_err(|e| (None, format!("invalid request: {e}")))
+            // echoes its string `id`; a line that is too long, not UTF-8
+            // or not JSON has none.
+            let line = line.as_ref();
+            let request = (line.len() <= MAX_LINE_BYTES)
+                .then_some(line)
+                .ok_or_else(|| {
+                    let limit = format!("{} MiB ({MAX_LINE_BYTES} bytes)", MAX_LINE_BYTES >> 20);
+                    (None, format!("invalid request: line longer than the {limit} limit"))
+                })
+                .and_then(|line| {
+                    std::str::from_utf8(line).map_err(|e| (None, format!("invalid request: {e}")))
+                })
                 .and_then(|line| {
                     serde_json::from_str(line).map_err(|e| (None, format!("invalid request: {e}")))
                 })

@@ -4,7 +4,10 @@
 //! conversions, evaluated below the compiled truncation and with
 //! zero-probability components, must agree bit for bit — and so must the
 //! `Pipeline`, which evaluates through the plan and keeps only a snapshot
-//! of the manager's statistics.
+//! of the manager's statistics. A plan reused across calls keeps the
+//! levels whose distribution did not change; sequences of partly changed
+//! distributions, and a pipeline interleaving a distribution grid with
+//! what-if families, must still answer what a fresh evaluation does.
 
 use proptest::prelude::*;
 
@@ -13,7 +16,7 @@ use soc_yield::defect::truncation::truncate_at;
 use soc_yield::defect::{ComponentProbabilities, Poisson};
 use soc_yield::{
     analyze, AnalysisOptions, ConversionAlgorithm, GroupOrdering, MvOrdering, Netlist,
-    OrderingSpec, Pipeline,
+    OrderingSpec, Pipeline, SystemDelta,
 };
 
 const CONVERSIONS: [ConversionAlgorithm; 2] =
@@ -137,6 +140,127 @@ proptest! {
                 check_plan(&netlist, &components, lambda, compiled_m, m, spec, conversion);
             }
         }
+    }
+}
+
+/// A xorshift stream seeded with `seed`.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// Replaces the distribution of a random subset of `vectors`' levels
+/// (possibly none) by a random distribution of the same arity, with some
+/// zero weights.
+fn change_some_levels(vectors: &mut [Vec<f64>], seed: u64) {
+    let mut next = xorshift(seed);
+    let changed = if seed.is_multiple_of(4) { 0 } else { next() };
+    for (level, dist) in vectors.iter_mut().enumerate() {
+        if changed >> (level % 64) & 1 == 0 {
+            continue;
+        }
+        let mut weights: Vec<f64> = dist.iter().map(|_| (next() % 4) as f64).collect();
+        if weights.iter().all(|&w| w == 0.0) {
+            weights[0] = 1.0;
+        }
+        let total: f64 = weights.iter().sum();
+        *dist = weights.iter().map(|w| w / total).collect();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One plan evaluated under a sequence of distributions, each changing
+    /// a random subset of levels, answers every one like the reference
+    /// traversal — under every ordering, so the changed levels fall
+    /// above, below and between the kept ones.
+    #[test]
+    fn a_reused_plan_matches_the_reference_traversal(
+        (netlist, c) in arb_fault_tree(5),
+        weights in proptest::collection::vec(0u32..4, 5),
+        lambda in 0.2f64..2.0,
+        m in 1usize..4,
+        steps in proptest::collection::vec(any::<u64>(), 4..=8),
+    ) {
+        let components = components_with_zeros(&weights, c);
+        let lethal = Poisson::new(lambda).expect("positive λ");
+        for mv in MvOrdering::ALL {
+            let spec = OrderingSpec::new(mv, GroupOrdering::MsbFirst).expect("valid spec");
+            let options =
+                AnalysisOptions { spec, fixed_truncation: Some(m), ..AnalysisOptions::default() };
+            let analysis = analyze(&netlist, &components, &lethal, &options).expect("compiles");
+            let (mut mdd, root) = (analysis.mdd, analysis.romdd_root);
+            let mut plan = mdd.freeze(root);
+            let mut vectors = analysis.probabilities;
+            for &seed in &steps {
+                change_some_levels(&mut vectors, seed);
+                let reference = mdd.probability(root, &vectors);
+                prop_assert_eq!(plan.probability(&vectors).to_bits(), reference.to_bits());
+            }
+        }
+    }
+
+    /// A resident pipeline answering a distribution grid (which changes
+    /// only the `w` level's vector) interleaved with swap-only what-if
+    /// families (which change every component level's vector), as the
+    /// re-evaluation benchmark does, answers every point bit for bit like
+    /// a fresh pipeline asked that point alone.
+    #[test]
+    fn an_interleaved_resident_pipeline_matches_fresh_pipelines(
+        (netlist, c) in arb_fault_tree(5),
+        weights in proptest::collection::vec(0u32..4, 5),
+        lambdas in proptest::collection::vec(0.2f64..2.0, 2..=4),
+        m in 1usize..4,
+        overrides in proptest::collection::vec((any::<u64>(), 0.01f64..0.15), 2..=4),
+    ) {
+        let components = components_with_zeros(&weights, c);
+        let options = AnalysisOptions { fixed_truncation: Some(m), ..AnalysisOptions::default() };
+        let grid: Vec<Poisson> =
+            lambdas.iter().map(|&l| Poisson::new(l).expect("positive λ")).collect();
+        let families: Vec<Vec<SystemDelta>> = overrides
+            .chunks(2)
+            .map(|chunk| {
+                std::iter::once(SystemDelta::named("base"))
+                    .chain(chunk.iter().enumerate().map(|(v, &(pick, p))| {
+                        SystemDelta::named(format!("v{v}"))
+                            .with_component_probability((pick % c as u64) as usize, p)
+                    }))
+                    .collect()
+            })
+            .collect();
+        let fresh = || Pipeline::new(&netlist, &components).expect("valid system");
+        let mut resident = fresh();
+        for _round in 0..2 {
+            for lethal in &grid {
+                let report = resident.evaluate(lethal, &options).expect("evaluates");
+                let expected = fresh().evaluate(lethal, &options).expect("evaluates");
+                prop_assert_eq!(
+                    report.yield_lower_bound.to_bits(),
+                    expected.yield_lower_bound.to_bits()
+                );
+            }
+            for family in &families {
+                let reports = resident.sweep_deltas(&grid[0], &options, family).expect("evaluates");
+                for (report, delta) in reports.iter().zip(family) {
+                    let expected = fresh()
+                        .sweep_deltas(&grid[0], &options, std::slice::from_ref(delta))
+                        .expect("evaluates");
+                    prop_assert_eq!(
+                        report.yield_lower_bound.to_bits(),
+                        expected[0].yield_lower_bound.to_bits(),
+                        "{}",
+                        delta.name()
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(resident.compiles(), 1);
     }
 }
 
